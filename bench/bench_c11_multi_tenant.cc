@@ -15,11 +15,12 @@
 //                    (wall-clock — the gated floor), per-tenant commit
 //                    p50/p99, and the fairness ratio min/max of
 //                    per-tenant acked counts (1.0 = perfectly even).
-//   * noisy neighbor — two tenants on one fleet, one saturating the
-//                    disks, one quiet. The quiet tenant's p99 with the
-//                    fair scheduler must stay within 2x of its solo p99
-//                    (same fleet, noisy tenant silent); the same cell
-//                    with the scheduler OFF is printed for contrast.
+//   * noisy neighbor — two tenants on one fleet, one noisy, one quiet.
+//                    The quiet tenant's p99 with the fair scheduler
+//                    must stay within 2x of its solo p99 (same fleet,
+//                    noisy tenant silent); the same cell with the
+//                    scheduler OFF (the group-committed update queue)
+//                    is printed for contrast.
 //                    The 2x bound is asserted — the bench exits nonzero
 //                    if QoS fails — because the simulated latencies are
 //                    deterministic in the seed.
@@ -167,9 +168,13 @@ struct NoisyNeighborResult {
 
 NoisyNeighborResult RunNoisyNeighbor() {
   // The noisy tenant's arrival rate is chosen to overrun the shared
-  // disks (one ~40us-service-time device per server), so the quiet
-  // tenant's writes genuinely queue behind the noisy tenant's backlog —
-  // exactly the regime the DRR scheduler exists for.
+  // disks (one ~40us-service-time device per server) when every write
+  // request costs its own device write, as it does under the fair
+  // scheduler; only DRR's interleaving keeps the quiet tenant from
+  // queueing behind the noisy backlog. With the scheduler off, the
+  // group-committed update queue packs that backlog into shared device
+  // writes, so the same rate no longer overruns the disks and the
+  // contrast cell reads close to solo.
   constexpr double kNoisyRate = 20000;
   constexpr double kQuietRate = 400;
   MultiTenantConfig config;

@@ -18,6 +18,7 @@ struct StoreMetrics {
   metrics::Counter* scrub_corruptions;
   metrics::Counter* stale_epoch_rejections;
   metrics::Counter* records_received;
+  metrics::Counter* records_duplicate;
   metrics::Counter* reads_served;
 };
 StoreMetrics& M() {
@@ -27,6 +28,7 @@ StoreMetrics& M() {
                         r.GetCounter("storage.scrub_corruptions"),
                         r.GetCounter("storage.stale_epoch_rejections"),
                         r.GetCounter("storage.records_received"),
+                        r.GetCounter("storage.records_duplicate"),
                         r.GetCounter("storage.reads_served")};
   }();
   return m;
@@ -80,6 +82,7 @@ Status SegmentStore::Append(const std::vector<log::RedoRecord>& records) {
     }
     if (hot_log_.Contains(record.lsn)) {
       stats_.records_duplicate++;
+      AURORA_COUNT(M().records_duplicate, 1);
       continue;
     }
     const size_t before = hot_log_.RecordCount();

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/common/metrics.h"
@@ -31,6 +32,10 @@ StorageNode::StorageNode(sim::Simulator* sim, sim::Network* network,
       disk_(sim, options.disk),
       rng_(sim->rng().Fork()) {
   network_->RegisterNode(id_, az_, this);
+  auto& registry = metrics::Registry::Global();
+  m_append_wait_us_ = registry.GetHistogram("storage.append_wait_us");
+  m_append_group_requests_ =
+      registry.GetHistogram("storage.append_group_requests");
 }
 
 SegmentStore* StorageNode::AddSegment(quorum::SegmentInfo info,
@@ -105,15 +110,44 @@ void StorageNode::HandleWrite(const WriteRequest& request,
   }
   // Durable append to the update queue, then acknowledge with the SCL
   // reached after sort/group (§2.1 activities 1-3). The disk write is the
-  // only synchronous cost on the ack path.
+  // only synchronous cost on the ack path: an idle device takes the
+  // request at once, a busy one packs it into the next group.
+  append_queue_.push_back(PendingAppend{request, std::move(reply),
+                                        sim_->Now()});
+  if (!append_in_flight_) FlushAppendGroup();
+}
+
+void StorageNode::FlushAppendGroup() {
+  append_in_flight_ = true;
+  std::vector<PendingAppend> group = std::exchange(append_queue_, {});
   uint64_t bytes = 0;
-  for (const auto& r : request.records) bytes += r.SerializedSize();
-  disk_.SubmitWrite(bytes, [this, request, reply = std::move(reply),
-                            segment]() mutable {
-    if (!IsUp()) return;  // crashed mid-I/O: write lost, never acked
-    Status st = segment->Append(request.records);
-    reply(WriteAck{request.segment, std::move(st), segment->scl(),
-                   segment->hydrated()});
+  for (const auto& pending : group) {
+    for (const auto& r : pending.request.records) bytes += r.SerializedSize();
+    AURORA_OBSERVE(m_append_wait_us_, sim_->Now() - pending.arrived_at);
+  }
+  AURORA_OBSERVE(m_append_group_requests_,
+                 static_cast<SimDuration>(group.size()));
+  disk_.SubmitWrite(bytes, [this, generation = append_generation_,
+                            group = std::move(group)]() mutable {
+    // Crashed mid-I/O (even if since restarted): the group is lost,
+    // never appended, never acked; OnCrash already reset the queue.
+    if (generation != append_generation_) return;
+    for (auto& pending : group) {
+      const WriteRequest& request = pending.request;
+      // Re-resolve: the segment may have been dropped during the I/O.
+      SegmentStore* segment = FindSegment(request.segment);
+      if (segment == nullptr) {
+        pending.reply(WriteAck{request.segment,
+                               Status::NotFound("no such segment"),
+                               kInvalidLsn});
+        continue;
+      }
+      Status st = segment->Append(request.records);
+      pending.reply(WriteAck{request.segment, std::move(st), segment->scl(),
+                             segment->hydrated()});
+    }
+    append_in_flight_ = false;
+    if (!append_queue_.empty()) FlushAppendGroup();
   });
 }
 
@@ -226,9 +260,15 @@ void StorageNode::ServeTenantWrite(TenantWrite entry) {
     return;
   }
   disk_.SubmitWrite(entry.cost, [this, request = entry.request,
-                                 reply = std::move(entry.reply),
-                                 segment]() mutable {
+                                 reply = std::move(entry.reply)]() mutable {
     if (!IsUp()) return;  // crashed mid-I/O: OnCrash cleared the queues
+    SegmentStore* segment = FindSegment(request.segment);
+    if (segment == nullptr) {
+      reply(WriteAck{request.segment, Status::NotFound("no such segment"),
+                     kInvalidLsn});
+      DispatchNextTenantWrite();
+      return;
+    }
     Status st = segment->Append(request.records);
     reply(WriteAck{request.segment, std::move(st), segment->scl(),
                    segment->hydrated()});
@@ -259,9 +299,14 @@ void StorageNode::HandleReadPage(const ReadPageRequest& request,
   if (request.pgmrpl != kInvalidLsn) {
     segment->ObservePgmrpl(request.pgmrpl);
   }
-  disk_.SubmitRead(4096, [this, request, reply = std::move(reply),
-                          segment]() mutable {
+  disk_.SubmitRead(4096, [this, request, reply = std::move(reply)]() mutable {
     if (!IsUp()) return;
+    // Re-resolve: the segment may have been dropped during the I/O.
+    SegmentStore* segment = FindSegment(request.segment);
+    if (segment == nullptr) {
+      reply(ReadPageResponse{Status::NotFound("no such segment"), {}});
+      return;
+    }
     auto page = segment->ReadPage(request.block, request.read_lsn);
     if (!page.ok()) {
       reply(ReadPageResponse{page.status(), {}});
@@ -358,9 +403,15 @@ void StorageNode::HandleHydration(const HydrationRequest& request,
     reply(HydrationResponse{Status::NotFound("no such segment"), {}, {}});
     return;
   }
-  disk_.SubmitRead(64 * 1024, [reply = std::move(reply), segment, request,
+  disk_.SubmitRead(64 * 1024, [reply = std::move(reply), request,
                                this]() mutable {
     if (!IsUp()) return;
+    // Re-resolve: the segment may have been dropped during the I/O.
+    SegmentStore* segment = FindSegment(request.from_segment);
+    if (segment == nullptr) {
+      reply(HydrationResponse{Status::NotFound("no such segment"), {}, {}});
+      return;
+    }
     reply(segment->BuildHydration(request));
   });
 }
@@ -580,11 +631,15 @@ void StorageNode::StartHydrationPull(SegmentId local_segment) {
 }
 
 void StorageNode::OnCrash() {
-  // Segment state is disk-durable; nothing volatile to clear. In-flight
-  // disk completions and network deliveries are guarded by IsUp checks /
-  // incarnation numbers. Queued tenant writes are volatile pre-ack state:
-  // dropping them is indistinguishable from losing in-flight requests
-  // (the driver re-sends), and the DRR chain re-arms on the next enqueue.
+  // Segment state is disk-durable. In-flight disk completions and network
+  // deliveries are guarded by IsUp checks / incarnation numbers, and the
+  // in-flight append group by its generation. Queued writes (update queue
+  // and tenant queues) are volatile pre-ack state: dropping them is
+  // indistinguishable from losing in-flight requests (the driver
+  // re-sends), and both chains re-arm on the next arrival.
+  append_queue_.clear();
+  append_in_flight_ = false;
+  ++append_generation_;
   for (auto& [volume, tenant] : tenants_) {
     tenant.queue.clear();
     tenant.deficit = 0;

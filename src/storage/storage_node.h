@@ -2,20 +2,24 @@
 // activity pipeline.
 //
 // Foreground: (1) receive redo records, (2) append to the update queue on
-// disk and acknowledge. Background: (3) sort/group into the hot log,
-// (4) gossip with peers to fill holes, (5) coalesce records into data
-// blocks, (6) archive to the object store, (7) garbage-collect, (8) scrub
-// checksums. Crucially, storage nodes "do not have a vote in determining
-// whether to accept a write, they must do so" (§2.3) — every handler is
-// idempotent and works from local state only.
+// disk and acknowledge. The update queue is group-committed: a write to an
+// idle device is submitted at once, and every write that arrives while an
+// append is on the device rides the next device write together (the
+// storage-side twin of the §2.2 boxcar: submit on the first record, pack
+// what arrives meanwhile, never wait). Background: (3) sort/group into
+// the hot log, (4) gossip with peers to fill holes, (5) coalesce records
+// into data blocks, (6) archive to the object store, (7) garbage-collect,
+// (8) scrub checksums. Crucially, storage nodes "do not have a vote in
+// determining whether to accept a write, they must do so" (§2.3) — every
+// handler is idempotent and works from local state only.
 //
 // Multi-tenancy (DESIGN.md §11): one server hosts segments from MANY
 // volumes, filed under (volume, pg, segment). Per-tenant accounting is
 // always on (TenantStats); fair scheduling of the shared disk is opt-in
 // (`fair_scheduler`): incoming writes queue per tenant and a
 // deficit-round-robin scheduler dispatches them, so an aggressive tenant
-// cannot starve a quiet co-tenant's commits. The default (scheduler off)
-// preserves the single-tenant fast path bit-for-bit.
+// cannot starve a quiet co-tenant's commits. With the scheduler off, every
+// write goes through the group-committed update queue.
 
 #pragma once
 
@@ -54,11 +58,11 @@ struct StorageNodeOptions {
   /// If false, no periodic timers are scheduled; tests drive stages
   /// manually via the Run*Once methods.
   bool background_enabled = true;
-  /// Multi-tenant QoS (DESIGN.md §11). Off (default): writes go straight
-  /// to the disk queue — the legacy single-tenant path, bit-identical to
-  /// pre-multi-tenant schedules. On: writes enqueue per tenant and a
-  /// deficit-round-robin scheduler owns dispatch order, bounding how far
-  /// a noisy tenant can push a quiet one's ack latency.
+  /// Multi-tenant QoS (DESIGN.md §11). Off (default): writes join the
+  /// node's group-committed update queue in arrival order. On: writes
+  /// enqueue per tenant and a deficit-round-robin scheduler owns dispatch
+  /// order, one request per device write, bounding how far a noisy
+  /// tenant can push a quiet one's ack latency.
   bool fair_scheduler = false;
   /// DRR quantum: bytes of dispatch credit a backlogged tenant earns per
   /// scheduling round. Every backlogged tenant earns a quantum each
@@ -168,6 +172,19 @@ class StorageNode : public sim::NodeLifecycleListener {
 
   void GossipSegment(SegmentStore* segment);
 
+  /// One accepted write waiting in the update queue for its group's
+  /// durable append; the ack is deferred with it.
+  struct PendingAppend {
+    WriteRequest request;
+    sim::ReplyFn<WriteAck> reply;
+    SimTime arrived_at = 0;
+  };
+
+  /// Submits everything in `append_queue_` as ONE device write; on
+  /// completion appends and acks the group in arrival order, then flushes
+  /// whatever queued meanwhile.
+  void FlushAppendGroup();
+
   /// One queued (not yet dispatched) tenant write under the fair
   /// scheduler. The reply is deferred with it: acks happen only after the
   /// scheduler grants the disk slot and the durable append completes.
@@ -214,6 +231,14 @@ class StorageNode : public sim::NodeLifecycleListener {
       tenant_index_;
   /// Fair-scheduler queues and per-tenant accounting, keyed by volume.
   std::map<VolumeId, TenantState> tenants_;
+  /// Update queue: writes accepted while a group append is on the device.
+  std::vector<PendingAppend> append_queue_;
+  bool append_in_flight_ = false;
+  /// Bumped by OnCrash so a group whose device write straddled a crash
+  /// neither appends nor acks, even after a restart.
+  uint64_t append_generation_ = 0;
+  Histogram* m_append_wait_us_ = nullptr;
+  Histogram* m_append_group_requests_ = nullptr;
   /// True while a DRR dispatch→disk-completion chain is running; the
   /// chain re-arms itself until every tenant queue drains.
   bool drain_active_ = false;

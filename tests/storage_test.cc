@@ -1,15 +1,19 @@
 // Unit tests for the storage service: page ops, segment stores (SCL,
 // coalescing, on-demand materialization, MVCC version retention/GC,
-// truncation, scrub, hydration), the disk model, and the object store.
+// truncation, scrub, hydration), the disk model, the object store, and the
+// storage node's group-committed update queue.
 
 #include <gtest/gtest.h>
 
+#include "src/core/cluster.h"
 #include "src/log/record.h"
 #include "src/quorum/membership.h"
+#include "src/sim/network.h"
 #include "src/storage/disk.h"
 #include "src/storage/object_store.h"
 #include "src/storage/page.h"
 #include "src/storage/segment_store.h"
+#include "src/storage/storage_node.h"
 
 namespace aurora::storage {
 namespace {
@@ -405,6 +409,240 @@ TEST(ObjectStore, DeduplicatesRecords) {
   store.Put(0, {rec}, [](Lsn) {});
   sim.Run();
   EXPECT_EQ(store.bytes_stored(), rec.SerializedSize());
+}
+
+// ---------------------------------------------------------------------- //
+// StorageNode: group-committed update queue
+
+// One storage node (id 100) hosting segment 0 of PG 0 and segment 6 of
+// PG 1, with a constant 100us write/read service time so every ack time
+// is exact.
+struct NodeFixture {
+  static constexpr SimDuration kServiceUs = 100;
+  static constexpr NodeId kNode = 100;
+
+  sim::Simulator sim{7};
+  sim::Network network{&sim};
+  std::unique_ptr<StorageNode> node;
+
+  NodeFixture() {
+    StorageNodeOptions options;
+    options.background_enabled = false;
+    options.disk.write_latency = LatencyDistribution::Constant(kServiceUs);
+    options.disk.read_latency = LatencyDistribution::Constant(kServiceUs);
+    options.disk.bytes_per_us = 0;
+    node = std::make_unique<StorageNode>(&sim, &network, kNode, 0, nullptr,
+                                         options);
+    node->AddSegment({0, kNode, 0, true}, 0, TestConfig(), 1);
+    std::vector<quorum::SegmentInfo> members;
+    for (SegmentId id = 6; id < 12; ++id) {
+      members.push_back({id, static_cast<NodeId>(kNode + id - 6),
+                         static_cast<AzId>((id - 6) / 2), true});
+    }
+    node->AddSegment(members[0], 1,
+                     quorum::PgConfig::Create(
+                         1, quorum::QuorumModel::kUniform46, members),
+                     1);
+  }
+
+  struct Ack {
+    int tag;
+    SimTime at;
+    WriteAck ack;
+  };
+
+  // Sends a one-record write for `segment` (PG = segment / 6) at `at`;
+  // its ack is appended to `acks` tagged `tag`.
+  void WriteAt(SimTime at, int tag, SegmentId segment, Lsn lsn,
+               EpochVector epochs = {1, 1}) {
+    sim.ScheduleAt(at, [this, tag, segment, lsn, epochs]() {
+      WriteRequest request;
+      request.segment = segment;
+      request.epochs = epochs;
+      log::RedoRecord record =
+          DataRecord(lsn, lsn - 1, 7, 0, FormatOp());
+      record.pg = static_cast<ProtectionGroupId>(segment / 6);
+      request.records.push_back(std::move(record));
+      node->HandleWrite(request, [this, tag](WriteAck ack) {
+        acks.push_back(Ack{tag, sim.Now(), std::move(ack)});
+      });
+    });
+  }
+
+  std::vector<int> AckTags() const {
+    std::vector<int> tags;
+    for (const auto& a : acks) tags.push_back(a.tag);
+    return tags;
+  }
+
+  std::vector<Ack> acks;
+};
+
+TEST(StorageNode, WriteToIdleNodeIsOneImmediateDeviceOp) {
+  NodeFixture f;
+  f.WriteAt(0, 1, 0, 1);
+  f.sim.Run();
+  ASSERT_EQ(f.acks.size(), 1u);
+  EXPECT_TRUE(f.acks[0].ack.status.ok());
+  EXPECT_EQ(f.acks[0].at, NodeFixture::kServiceUs)
+      << "an idle node must add no queueing to the ack";
+  EXPECT_EQ(f.acks[0].ack.scl, 1u);
+  EXPECT_EQ(f.node->disk().ops_completed(), 1u);
+}
+
+TEST(StorageNode, WritesArrivingDuringAnAppendShareOneDeviceOp) {
+  NodeFixture f;
+  f.WriteAt(0, 1, 0, 1);  // idle: goes to the device at once
+  // Three writes for two segments arrive while that append is on the
+  // device: they must leave together as the next group.
+  f.WriteAt(10, 2, 0, 2);
+  f.WriteAt(20, 3, 6, 1);
+  f.WriteAt(30, 4, 0, 3);
+  f.sim.Run();
+  EXPECT_EQ(f.node->disk().ops_completed(), 2u);
+  ASSERT_EQ(f.AckTags(), (std::vector<int>{1, 2, 3, 4}))
+      << "acks must follow arrival order";
+  EXPECT_EQ(f.acks[0].at, NodeFixture::kServiceUs);
+  for (size_t i = 1; i < f.acks.size(); ++i) {
+    EXPECT_TRUE(f.acks[i].ack.status.ok());
+    EXPECT_EQ(f.acks[i].at, 2 * NodeFixture::kServiceUs)
+        << "group submitted when the first append completed";
+  }
+  // Each ack reports its own segment's SCL right after its append.
+  EXPECT_EQ(f.acks[1].ack.scl, 2u);
+  EXPECT_EQ(f.acks[2].ack.segment, 6u);
+  EXPECT_EQ(f.acks[2].ack.scl, 1u);
+  EXPECT_EQ(f.acks[3].ack.scl, 3u);
+  EXPECT_EQ(f.node->FindSegment(0)->scl(), 3u);
+  EXPECT_EQ(f.node->FindSegment(6)->scl(), 1u);
+}
+
+TEST(StorageNode, CrashDuringGroupAppendLosesTheWholeGroup) {
+  NodeFixture f;
+  f.WriteAt(0, 1, 0, 1);   // on the device until t=100
+  f.WriteAt(10, 2, 0, 2);  // queued behind it
+  f.sim.ScheduleAt(20, [&]() { f.network.Crash(NodeFixture::kNode); });
+  f.sim.ScheduleAt(30, [&]() { f.network.Restart(NodeFixture::kNode); });
+  // After the quick restart the driver re-sends record 1. The stale device
+  // op still holds the device until t=100, so this group runs 100..200.
+  f.WriteAt(40, 3, 0, 1);
+  f.sim.Run();
+  ASSERT_EQ(f.AckTags(), (std::vector<int>{3}))
+      << "no ack may come from a group that straddled a crash";
+  EXPECT_EQ(f.acks[0].at, 2 * NodeFixture::kServiceUs);
+  EXPECT_TRUE(f.acks[0].ack.status.ok());
+  const SegmentStore* segment = f.node->FindSegment(0);
+  EXPECT_EQ(segment->stats().records_received, 1u)
+      << "the lost group appended nothing";
+  EXPECT_FALSE(segment->hot_log().Contains(2));
+  EXPECT_EQ(segment->scl(), 1u);
+}
+
+TEST(StorageNode, StaleOrUnknownWritesRejectedBeforeQueueing) {
+  NodeFixture f;
+  f.WriteAt(0, 1, 0, 1);  // keeps the device busy until t=100
+  f.WriteAt(10, 2, 0, 2, EpochVector{0, 1});  // stale volume epoch
+  f.WriteAt(20, 3, 42, 1);                    // no such segment
+  f.sim.Run();
+  ASSERT_EQ(f.AckTags(), (std::vector<int>{2, 3, 1}));
+  EXPECT_EQ(f.acks[0].at, 10) << "rejected on arrival, not queued";
+  EXPECT_TRUE(f.acks[0].ack.status.IsStaleEpoch());
+  EXPECT_EQ(f.acks[1].at, 20);
+  EXPECT_TRUE(f.acks[1].ack.status.IsNotFound());
+  EXPECT_EQ(f.node->disk().ops_completed(), 1u);
+  EXPECT_EQ(f.node->FindSegment(0)->scl(), 1u);
+}
+
+TEST(StorageNode, DropSegmentDuringDiskOpsRepliesNotFound) {
+  // DropSegment (repair planner, membership commit) frees the segment
+  // while a write, a page read and a hydration read are on the device;
+  // each completion must re-resolve the segment instead of touching the
+  // freed store (run under scripts/check.sh address to catch a regression).
+  NodeFixture f;
+  ASSERT_TRUE(f.node->FindSegment(0)
+                  ->Append({DataRecord(1, 0, 7, 0, FormatOp())})
+                  .ok());
+  std::optional<Status> write_status, read_status, hydration_status;
+  f.sim.ScheduleAt(0, [&]() {
+    WriteRequest write;
+    write.segment = 0;
+    write.epochs = {1, 1};
+    write.records.push_back(DataRecord(2, 1, 7, 1, InsertOp("k", "v")));
+    f.node->HandleWrite(write,
+                        [&](WriteAck ack) { write_status = ack.status; });
+    ReadPageRequest read;
+    read.segment = 0;
+    read.epochs = {1, 1};
+    read.block = 7;
+    read.read_lsn = 1;
+    f.node->HandleReadPage(read, [&](ReadPageResponse response) {
+      read_status = response.status;
+    });
+    HydrationRequest hydration{0, 9, kInvalidLsn, true};
+    f.node->HandleHydration(hydration, [&](HydrationResponse response) {
+      hydration_status = response.status;
+    });
+    f.node->DropSegment(0);
+  });
+  f.sim.Run();
+  ASSERT_TRUE(write_status.has_value());
+  ASSERT_TRUE(read_status.has_value());
+  ASSERT_TRUE(hydration_status.has_value());
+  EXPECT_TRUE(write_status->IsNotFound());
+  EXPECT_TRUE(read_status->IsNotFound());
+  EXPECT_TRUE(hydration_status->IsNotFound());
+  EXPECT_EQ(f.node->disk().ops_completed(), 3u);
+}
+
+TEST(StorageNode, BurstOfWritesNeedsFewerDeviceOpsThanRequests) {
+  core::AuroraOptions options;
+  options.seed = 31;
+  options.num_pgs = 1;
+  options.blocks_per_pg = 1 << 16;
+  options.db.cache_pages = 1024;
+  core::AuroraCluster cluster(options);
+  ASSERT_TRUE(cluster.StartBlocking().ok());
+  ASSERT_TRUE(cluster.PutBlocking("warm", "v").ok());
+
+  auto device_ops = [&]() {
+    uint64_t ops = 0;
+    for (const auto& n : cluster.storage_nodes()) {
+      ops += n->disk().ops_completed();
+    }
+    return ops;
+  };
+  const uint64_t ops_before = device_ops();
+  const uint64_t requests_before =
+      cluster.writer()->driver()->stats().write_requests;
+
+  // 400 autocommit inserts, one every 10us: faster than a storage device
+  // serves one append, so requests arrive while an append is on the disk.
+  constexpr int kBurst = 400;
+  int committed = 0;
+  for (int i = 0; i < kBurst; ++i) {
+    cluster.sim().Schedule(static_cast<SimDuration>(10 * i), [&, i]() {
+      engine::DbInstance* writer = cluster.writer();
+      const TxnId txn = writer->Begin();
+      writer->Put(txn, "burst" + std::to_string(i), "v",
+                  [&, writer, txn](Status st) {
+                    ASSERT_TRUE(st.ok()) << st.ToString();
+                    writer->Commit(txn, [&](Status c) {
+                      if (c.ok()) ++committed;
+                    });
+                  });
+    });
+  }
+  ASSERT_TRUE(cluster.RunUntil([&]() { return committed == kBurst; },
+                               5 * kSecond));
+  cluster.RunFor(50 * kMillisecond);  // let every copy land and ack
+
+  const uint64_t requests =
+      cluster.writer()->driver()->stats().write_requests - requests_before;
+  const uint64_t ops = device_ops() - ops_before;
+  EXPECT_GT(requests, 0u);
+  EXPECT_LT(ops, requests)
+      << "device ops summed over the storage nodes must be fewer than the "
+         "write requests they received";
 }
 
 }  // namespace
