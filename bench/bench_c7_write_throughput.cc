@@ -66,6 +66,12 @@ struct ThroughputResult {
                ? 0.0
                : static_cast<double>(hedged_reads) / reads_issued;
   }
+  /// Share of fanned-out record copies the retry sweep had to resend.
+  double RetransmitFrac() const {
+    return fanout_records == 0
+               ? 0.0
+               : static_cast<double>(retransmitted_records) / fanout_records;
+  }
   double RecordsPerSec() const { return records_sent / wall_seconds; }
   double CommitsPerSec() const { return commits_acked / wall_seconds; }
   double EventsPerSec() const { return events_executed / wall_seconds; }
@@ -342,12 +348,27 @@ int main(int argc, char** argv) {
              ""});
   table.Row({"retransmitted records",
              std::to_string(result.retransmitted_records), ""});
+  table.Row({"retransmit frac", Num(result.RetransmitFrac(), 4), ""});
   table.Row({"VDL advance gap p50/p99 (us)",
              std::to_string(result.vdl_advance_p50_us) + " / " +
                  std::to_string(result.vdl_advance_p99_us),
              ""});
   table.Row({"hedge rate", Num(result.HedgeRate(), 4), ""});
   table.Print();
+  // The quick run is deterministic (seed 4242), so its resend share is a
+  // fixed number: 1,232 of 48,072 record copies. The retry sweep is not
+  // age-aware: every 50 ms it resends each copy not yet acked, in flight
+  // or not, so the share mostly counts the ticks that land inside a large
+  // (page-split) transaction. A change that resends more must say why.
+  constexpr double kQuickMaxRetransmitFrac = 1232.0 / 48072.0;
+  if (quick && read_ratio == 0 &&
+      result.RetransmitFrac() > kQuickMaxRetransmitFrac) {
+    std::fprintf(stderr,
+                 "C7: retransmit_frac %.4f exceeds the --quick ceiling "
+                 "%.4f\n",
+                 result.RetransmitFrac(), kQuickMaxRetransmitFrac);
+    return 1;
+  }
 
   // Sharded-engine sweep on the protocol workload.
   const std::vector<int> thread_counts =
@@ -401,6 +422,7 @@ int main(int argc, char** argv) {
       .Set("events_per_sec", result.EventsPerSec())
       .Set("fanout_records", result.fanout_records)
       .Set("retransmitted_records", result.retransmitted_records)
+      .Set("retransmit_frac", result.RetransmitFrac())
       .Set("reads_issued", result.reads_issued)
       .Set("hedged_reads", result.hedged_reads)
       .Set("hedge_rate", result.HedgeRate())

@@ -1,6 +1,8 @@
 #include "src/engine/storage_driver.h"
 
 #include <algorithm>
+#include <iterator>
+#include <utility>
 
 #include "src/common/logging.h"
 
@@ -19,6 +21,8 @@ StorageDriver::StorageDriver(sim::Simulator* sim, sim::Network* network,
   auto& registry = metrics::Registry::Global();
   m_fanout_records_ = registry.GetCounter("driver.fanout_records");
   m_write_requests_ = registry.GetCounter("driver.write_requests");
+  m_write_request_segments_ =
+      registry.GetHistogram("driver.write_request_segments");
   m_acks_ = registry.GetCounter("driver.acks");
   m_stale_epoch_acks_ = registry.GetCounter("driver.stale_epoch_acks");
   m_retransmitted_ = registry.GetCounter("driver.retransmitted_records");
@@ -63,13 +67,20 @@ void StorageDriver::EnsureChannels(const quorum::PgConfig& config) {
     channel.info = member;
     channel.pg = config.pg();
     channels_.emplace(member.id, std::move(channel));
-    SegmentChannel* raw = &channels_[member.id];
+  }
+}
+
+StorageDriver::NodeBuffer& StorageDriver::BufferFor(NodeId node) {
+  auto [it, fresh] = node_buffers_.try_emplace(node);
+  if (fresh) {
+    NodeBuffer* raw = &it->second;
     raw->boxcar = std::make_unique<log::BoxcarBatcher>(
         sim_, options_.boxcar,
-        [this, raw](std::vector<log::RedoRecord> batch) {
-          SendBatch(raw, std::move(batch));
+        [this, node, raw](std::vector<log::RedoRecord> batch) {
+          DispatchNodeBuffer(node, raw, std::move(batch));
         });
   }
+  return it->second;
 }
 
 void StorageDriver::SubmitRecords(
@@ -91,7 +102,10 @@ void StorageDriver::SubmitRecords(
       auto it = channels_.find(member.id);
       if (it == channels_.end()) continue;
       it->second.max_sent = std::max(it->second.max_sent, record.lsn);
-      it->second.boxcar->Add(record);
+      NodeBuffer& buffer = BufferFor(it->second.info.node);
+      // Tag before adding: a full boxcar dispatches inside Add.
+      buffer.targets.push_back(member.id);
+      buffer.boxcar->Add(record);
       stats_.records_sent++;
       AURORA_COUNT(m_fanout_records_, 1);
     }
@@ -99,36 +113,62 @@ void StorageDriver::SubmitRecords(
   AURORA_GAUGE_SET(m_retained_depth_, retained_.size());
 }
 
-void StorageDriver::SendBatch(SegmentChannel* channel,
-                              std::vector<log::RedoRecord> records) {
+void StorageDriver::DispatchNodeBuffer(NodeId node, NodeBuffer* buffer,
+                                       std::vector<log::RedoRecord> batch) {
+  const std::vector<SegmentId> targets = std::exchange(buffer->targets, {});
+  std::vector<storage::SegmentWrite> parts;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    auto part = std::find_if(parts.begin(), parts.end(), [&](const auto& p) {
+      return p.segment == targets[i];
+    });
+    if (part == parts.end()) {
+      parts.push_back(storage::SegmentWrite{targets[i], {}, {}});
+      part = std::prev(parts.end());
+    }
+    part->records.push_back(std::move(batch[i]));
+  }
+  SendWrite(node, std::move(parts));
+}
+
+void StorageDriver::SendWrite(NodeId target,
+                              std::vector<storage::SegmentWrite> parts) {
   if (!running_) return;
-  // The request is shared, not copied, into the RPC closures: the batch
-  // vector (and each record's refcounted payload) crosses the simulated
-  // wire without duplication.
+  // The request is shared, not copied, into the RPC closures: the parts
+  // (and each record's refcounted payload) cross the simulated wire
+  // without duplication.
   auto request = std::make_shared<storage::WriteRequest>();
-  request->segment = channel->info.id;
-  request->epochs = EpochVector{volume_epoch_,
-                                geometry_.Pg(channel->pg).epoch()};
-  request->records = std::move(records);
+  for (auto& part : parts) {
+    part.epochs = EpochVector{
+        volume_epoch_, geometry_.Pg(channels_.at(part.segment).pg).epoch()};
+  }
+  request->parts = std::move(parts);
   stats_.write_requests++;
   AURORA_COUNT(m_write_requests_, 1);
+  AURORA_OBSERVE(m_write_request_segments_,
+                 static_cast<SimDuration>(request->parts.size()));
   const SimTime sent_at = sim_->Now();
-  const NodeId target = channel->info.node;
-  sim::UnaryCall<storage::WriteAck>(
+  sim::UnaryCall<storage::WriteResponse>(
       network_, self_, target, request->SerializedSize(),
-      [this, target, request](sim::ReplyFn<storage::WriteAck> reply) {
+      [this, target, request](sim::ReplyFn<storage::WriteResponse> reply) {
         storage::StorageNode* node = resolver_ ? resolver_(target) : nullptr;
         if (node == nullptr) {
-          reply(storage::WriteAck{request->segment,
-                                  Status::Unavailable("unresolved node"),
-                                  kInvalidLsn});
+          storage::WriteResponse response;
+          for (const auto& part : request->parts) {
+            response.acks.push_back(storage::WriteAck{
+                part.segment, Status::Unavailable("unresolved node"),
+                kInvalidLsn});
+          }
+          reply(std::move(response));
           return;
         }
         node->HandleWrite(*request, std::move(reply));
       },
-      [](const storage::WriteAck& a) { return a.SerializedSize(); },
-      [this, channel, sent_at](storage::WriteAck ack) {
-        HandleAck(channel, ack, sent_at);
+      [](const storage::WriteResponse& r) { return r.SerializedSize(); },
+      [this, sent_at](storage::WriteResponse response) {
+        for (const auto& ack : response.acks) {
+          auto it = channels_.find(ack.segment);
+          if (it != channels_.end()) HandleAck(&it->second, ack, sent_at);
+        }
       });
 }
 
@@ -241,7 +281,9 @@ void StorageDriver::RetrySweep() {
     if (resend.empty()) continue;
     stats_.retransmissions += resend.size();
     AURORA_COUNT(m_retransmitted_, resend.size());
-    SendBatch(&channel, std::move(resend));
+    std::vector<storage::SegmentWrite> parts;
+    parts.push_back(storage::SegmentWrite{segment_id, {}, std::move(resend)});
+    SendWrite(channel.info.node, std::move(parts));
   }
   UpdateDegraded();
   sim_->Schedule(options_.retry_interval, [this]() { RetrySweep(); });

@@ -6,10 +6,12 @@
 // driver asynchronously issues writes, receives acknowledgments, and
 // establishes consistency points."
 //
-// The driver owns: per-segment boxcar batchers, the consistency tracker
-// (SCL→PGCL→VCL→VDL), unacknowledged-write retransmission, read routing
-// with hedging, and the epoch vector attached to every request. It never
-// blocks: every interaction is an asynchronous message plus local state.
+// The driver owns: one boxcar write buffer per storage node (a dispatch
+// sends the node one message with a part per segment it hosts), the
+// consistency tracker (SCL→PGCL→VCL→VDL), unacknowledged-write
+// retransmission, read routing with hedging, and the epoch vector attached
+// to every request. It never blocks: every interaction is an asynchronous
+// message plus local state.
 
 #pragma once
 
@@ -72,6 +74,9 @@ struct DriverOptions {
 
 struct DriverStats {
   uint64_t records_sent = 0;
+  /// Write messages sent to storage nodes: one per node-buffer dispatch
+  /// (one part per hosted segment) plus one per retransmitted segment
+  /// batch.
   uint64_t write_requests = 0;
   uint64_t acks_received = 0;
   uint64_t stale_epoch_acks = 0;
@@ -178,9 +183,16 @@ class StorageDriver {
   struct SegmentChannel {
     quorum::SegmentInfo info;
     ProtectionGroupId pg = 0;
-    std::unique_ptr<log::BoxcarBatcher> boxcar;
     Lsn max_sent = kInvalidLsn;
     ChannelHydration hydration = ChannelHydration::kUnknown;
+  };
+
+  /// The §2.2 write buffer of one storage node. The boxcar dispatches its
+  /// whole open batch at once, so `targets` names, in the same order, the
+  /// segment each buffered record is for.
+  struct NodeBuffer {
+    std::unique_ptr<log::BoxcarBatcher> boxcar;
+    std::vector<SegmentId> targets;
   };
 
   /// Per-PG progress watch feeding degraded-mode detection.
@@ -190,8 +202,14 @@ class StorageDriver {
   };
 
   void EnsureChannels(const quorum::PgConfig& config);
-  void SendBatch(SegmentChannel* channel,
-                 std::vector<log::RedoRecord> records);
+  NodeBuffer& BufferFor(NodeId node);
+  /// Splits a dispatched node buffer into one part per segment (records
+  /// keep their LSN order) and sends it as one message.
+  void DispatchNodeBuffer(NodeId node, NodeBuffer* buffer,
+                          std::vector<log::RedoRecord> batch);
+  /// The one write send path: stamps each part's epochs and sends the
+  /// parts to `target` as one message; each part's ack goes to HandleAck.
+  void SendWrite(NodeId target, std::vector<storage::SegmentWrite> parts);
   void HandleAck(SegmentChannel* channel, const storage::WriteAck& ack,
                  SimTime sent_at);
   /// The volume-wide consistency-point pass: tracker advance + retained
@@ -217,6 +235,7 @@ class StorageDriver {
   Rng rng_;
 
   std::map<SegmentId, SegmentChannel> channels_;
+  std::map<NodeId, NodeBuffer> node_buffers_;
   /// Records not yet known globally durable (lsn > VCL): the
   /// retransmission source. LSNs are allocated monotonically by this
   /// instance, so the deque stays sorted — O(1) append on submit, O(1)
@@ -244,6 +263,7 @@ class StorageDriver {
   // the local bookkeeping: the gap between successive advances.
   metrics::Counter* m_fanout_records_;
   metrics::Counter* m_write_requests_;
+  Histogram* m_write_request_segments_;
   metrics::Counter* m_acks_;
   metrics::Counter* m_stale_epoch_acks_;
   metrics::Counter* m_retransmitted_;

@@ -34,8 +34,7 @@ StorageNode::StorageNode(sim::Simulator* sim, sim::Network* network,
   network_->RegisterNode(id_, az_, this);
   auto& registry = metrics::Registry::Global();
   m_append_wait_us_ = registry.GetHistogram("storage.append_wait_us");
-  m_append_group_requests_ =
-      registry.GetHistogram("storage.append_group_requests");
+  m_append_group_parts_ = registry.GetHistogram("storage.append_group_parts");
 }
 
 SegmentStore* StorageNode::AddSegment(quorum::SegmentInfo info,
@@ -89,32 +88,61 @@ void StorageNode::DropSegment(SegmentId segment) {
   segments_.erase(it);
 }
 
+namespace {
+
+/// Gathers one WriteRequest's per-part acks and sends the node's single
+/// reply once the last part's outcome is known. A part lost to a crash
+/// never reports, so the message is never answered.
+struct WriteReplyGather {
+  WriteResponse response;
+  size_t outstanding = 0;
+  sim::ReplyFn<WriteResponse> reply;
+};
+
+}  // namespace
+
 void StorageNode::HandleWrite(const WriteRequest& request,
-                              sim::ReplyFn<WriteAck> reply) {
-  SegmentStore* segment = FindSegment(request.segment);
-  if (segment == nullptr) {
-    reply(WriteAck{request.segment, Status::NotFound("no such segment"),
-                   kInvalidLsn});
-    return;
-  }
-  if (Status st = segment->CheckEpochs(request.epochs); !st.ok()) {
-    reply(WriteAck{request.segment, std::move(st), segment->scl(),
-                   segment->hydrated()});
-    return;
-  }
-  if (options_.fair_scheduler) {
-    // Multi-tenant QoS: the request joins its tenant's queue and the DRR
-    // scheduler decides when it reaches the disk (DESIGN.md §11).
-    EnqueueTenantWrite(segment, request, std::move(reply));
-    return;
+                              sim::ReplyFn<WriteResponse> reply) {
+  auto gather = std::make_shared<WriteReplyGather>();
+  gather->response.acks.resize(request.parts.size());
+  gather->outstanding = request.parts.size();
+  gather->reply = std::move(reply);
+  // Every part is checked before any reaches the device, so the accepted
+  // parts of one message ride one device write; a rejected part gets its
+  // own status and the others proceed.
+  for (size_t i = 0; i < request.parts.size(); ++i) {
+    const SegmentWrite& part = request.parts[i];
+    sim::ReplyFn<WriteAck> done = [gather, i](WriteAck ack) {
+      gather->response.acks[i] = std::move(ack);
+      if (--gather->outstanding == 0) {
+        gather->reply(std::move(gather->response));
+      }
+    };
+    SegmentStore* segment = FindSegment(part.segment);
+    if (segment == nullptr) {
+      done(WriteAck{part.segment, Status::NotFound("no such segment"),
+                    kInvalidLsn});
+      continue;
+    }
+    if (Status st = segment->CheckEpochs(part.epochs); !st.ok()) {
+      done(WriteAck{part.segment, std::move(st), segment->scl(),
+                    segment->hydrated()});
+      continue;
+    }
+    if (options_.fair_scheduler) {
+      // Multi-tenant QoS: the part joins its tenant's queue and the DRR
+      // scheduler decides when it reaches the disk (DESIGN.md §11).
+      EnqueueTenantWrite(segment, part, std::move(done));
+      continue;
+    }
+    append_queue_.push_back(PendingAppend{part, std::move(done),
+                                          sim_->Now()});
   }
   // Durable append to the update queue, then acknowledge with the SCL
   // reached after sort/group (§2.1 activities 1-3). The disk write is the
   // only synchronous cost on the ack path: an idle device takes the
-  // request at once, a busy one packs it into the next group.
-  append_queue_.push_back(PendingAppend{request, std::move(reply),
-                                        sim_->Now()});
-  if (!append_in_flight_) FlushAppendGroup();
+  // message at once, a busy one packs it into the next group.
+  if (!append_in_flight_ && !append_queue_.empty()) FlushAppendGroup();
 }
 
 void StorageNode::FlushAppendGroup() {
@@ -122,10 +150,10 @@ void StorageNode::FlushAppendGroup() {
   std::vector<PendingAppend> group = std::exchange(append_queue_, {});
   uint64_t bytes = 0;
   for (const auto& pending : group) {
-    for (const auto& r : pending.request.records) bytes += r.SerializedSize();
+    for (const auto& r : pending.part.records) bytes += r.SerializedSize();
     AURORA_OBSERVE(m_append_wait_us_, sim_->Now() - pending.arrived_at);
   }
-  AURORA_OBSERVE(m_append_group_requests_,
+  AURORA_OBSERVE(m_append_group_parts_,
                  static_cast<SimDuration>(group.size()));
   disk_.SubmitWrite(bytes, [this, generation = append_generation_,
                             group = std::move(group)]() mutable {
@@ -133,18 +161,18 @@ void StorageNode::FlushAppendGroup() {
     // never appended, never acked; OnCrash already reset the queue.
     if (generation != append_generation_) return;
     for (auto& pending : group) {
-      const WriteRequest& request = pending.request;
+      const SegmentWrite& part = pending.part;
       // Re-resolve: the segment may have been dropped during the I/O.
-      SegmentStore* segment = FindSegment(request.segment);
+      SegmentStore* segment = FindSegment(part.segment);
       if (segment == nullptr) {
-        pending.reply(WriteAck{request.segment,
-                               Status::NotFound("no such segment"),
-                               kInvalidLsn});
+        pending.done(WriteAck{part.segment,
+                              Status::NotFound("no such segment"),
+                              kInvalidLsn});
         continue;
       }
-      Status st = segment->Append(request.records);
-      pending.reply(WriteAck{request.segment, std::move(st), segment->scl(),
-                             segment->hydrated()});
+      Status st = segment->Append(part.records);
+      pending.done(WriteAck{part.segment, std::move(st), segment->scl(),
+                            segment->hydrated()});
     }
     append_in_flight_ = false;
     if (!append_queue_.empty()) FlushAppendGroup();
@@ -172,21 +200,21 @@ StorageNode::TenantState& StorageNode::TenantFor(VolumeId volume) {
 }
 
 void StorageNode::EnqueueTenantWrite(SegmentStore* segment,
-                                     const WriteRequest& request,
+                                     const SegmentWrite& part,
                                      sim::ReplyFn<WriteAck> reply) {
   TenantState& tenant = TenantFor(segment->volume());
   TenantWrite entry;
-  entry.request = request;
+  entry.part = part;
   entry.reply = std::move(reply);
   entry.enqueued_at = sim_->Now();
   uint64_t cost = 0;
-  for (const auto& r : request.records) cost += r.SerializedSize();
+  for (const auto& r : part.records) cost += r.SerializedSize();
   entry.cost = std::max<uint64_t>(cost, 1);
   tenant.queue.push_back(std::move(entry));
-  tenant.stats.records += request.records.size();
+  tenant.stats.records += part.records.size();
   tenant.stats.bytes += cost;
   tenant.stats.queue_depth = tenant.queue.size();
-  AURORA_COUNT(tenant.m_records, request.records.size());
+  AURORA_COUNT(tenant.m_records, part.records.size());
   AURORA_COUNT(tenant.m_bytes, cost);
   AURORA_GAUGE_SET(tenant.m_queue_depth,
                    static_cast<int64_t>(tenant.queue.size()));
@@ -252,25 +280,25 @@ void StorageNode::DispatchNextTenantWrite() {
 void StorageNode::ServeTenantWrite(TenantWrite entry) {
   // Re-resolve: the segment may have been dropped (committed membership
   // change away from it) while the request sat in the tenant queue.
-  SegmentStore* segment = FindSegment(entry.request.segment);
+  SegmentStore* segment = FindSegment(entry.part.segment);
   if (segment == nullptr) {
-    entry.reply(WriteAck{entry.request.segment,
+    entry.reply(WriteAck{entry.part.segment,
                          Status::NotFound("no such segment"), kInvalidLsn});
     DispatchNextTenantWrite();
     return;
   }
-  disk_.SubmitWrite(entry.cost, [this, request = entry.request,
+  disk_.SubmitWrite(entry.cost, [this, part = entry.part,
                                  reply = std::move(entry.reply)]() mutable {
     if (!IsUp()) return;  // crashed mid-I/O: OnCrash cleared the queues
-    SegmentStore* segment = FindSegment(request.segment);
+    SegmentStore* segment = FindSegment(part.segment);
     if (segment == nullptr) {
-      reply(WriteAck{request.segment, Status::NotFound("no such segment"),
+      reply(WriteAck{part.segment, Status::NotFound("no such segment"),
                      kInvalidLsn});
       DispatchNextTenantWrite();
       return;
     }
-    Status st = segment->Append(request.records);
-    reply(WriteAck{request.segment, std::move(st), segment->scl(),
+    Status st = segment->Append(part.records);
+    reply(WriteAck{part.segment, std::move(st), segment->scl(),
                    segment->hydrated()});
     DispatchNextTenantWrite();
   });

@@ -2,11 +2,13 @@
 // activity pipeline.
 //
 // Foreground: (1) receive redo records, (2) append to the update queue on
-// disk and acknowledge. The update queue is group-committed: a write to an
-// idle device is submitted at once, and every write that arrives while an
-// append is on the device rides the next device write together (the
-// storage-side twin of the §2.2 boxcar: submit on the first record, pack
-// what arrives meanwhile, never wait). Background: (3) sort/group into
+// disk and acknowledge. A write message carries one part per hosted segment
+// and is answered once, when every part's outcome is known. The update
+// queue is group-committed: a message to an idle device is submitted at
+// once, and every part that arrives while an append is on the device rides
+// the next device write together (the storage-side twin of the §2.2
+// boxcar: submit on the first record, pack what arrives meanwhile, never
+// wait). Background: (3) sort/group into
 // the hot log, (4) gossip with peers to fill holes, (5) coalesce records
 // into data blocks, (6) archive to the object store, (7) garbage-collect,
 // (8) scrub checksums. Crucially, storage nodes "do not have a vote in
@@ -16,7 +18,7 @@
 // Multi-tenancy (DESIGN.md §11): one server hosts segments from MANY
 // volumes, filed under (volume, pg, segment). Per-tenant accounting is
 // always on (TenantStats); fair scheduling of the shared disk is opt-in
-// (`fair_scheduler`): incoming writes queue per tenant and a
+// (`fair_scheduler`): incoming write parts queue per tenant and a
 // deficit-round-robin scheduler dispatches them, so an aggressive tenant
 // cannot starve a quiet co-tenant's commits. With the scheduler off, every
 // write goes through the group-committed update queue.
@@ -59,9 +61,9 @@ struct StorageNodeOptions {
   /// manually via the Run*Once methods.
   bool background_enabled = true;
   /// Multi-tenant QoS (DESIGN.md §11). Off (default): writes join the
-  /// node's group-committed update queue in arrival order. On: writes
-  /// enqueue per tenant and a deficit-round-robin scheduler owns dispatch
-  /// order, one request per device write, bounding how far a noisy
+  /// node's group-committed update queue in arrival order. On: write
+  /// parts enqueue per tenant and a deficit-round-robin scheduler owns
+  /// dispatch order, one part per device write, bounding how far a noisy
   /// tenant can push a quiet one's ack latency.
   bool fair_scheduler = false;
   /// DRR quantum: bytes of dispatch credit a backlogged tenant earns per
@@ -82,7 +84,7 @@ struct StorageNodeOptions {
 struct TenantStats {
   uint64_t records = 0;     ///< redo records received for this tenant
   uint64_t bytes = 0;       ///< serialized redo bytes received
-  uint64_t dispatched = 0;  ///< write requests handed to the disk
+  uint64_t dispatched = 0;  ///< write parts handed to the disk
   uint64_t throttled = 0;   ///< DRR turns skipped with backlog (deficit
                             ///< exhausted — fair-share deferrals)
   size_t queue_depth = 0;   ///< current fair-scheduler queue depth
@@ -132,7 +134,7 @@ class StorageNode : public sim::NodeLifecycleListener {
 
   // -- RPC handlers (invoked at this node after request delivery) --------
   void HandleWrite(const WriteRequest& request,
-                   sim::ReplyFn<WriteAck> reply);
+                   sim::ReplyFn<WriteResponse> reply);
   void HandleReadPage(const ReadPageRequest& request,
                       sim::ReplyFn<ReadPageResponse> reply);
   void HandleSegmentState(const SegmentStateRequest& request,
@@ -172,24 +174,24 @@ class StorageNode : public sim::NodeLifecycleListener {
 
   void GossipSegment(SegmentStore* segment);
 
-  /// One accepted write waiting in the update queue for its group's
-  /// durable append; the ack is deferred with it.
+  /// One accepted write part waiting in the update queue for its group's
+  /// durable append; its ack is deferred with it.
   struct PendingAppend {
-    WriteRequest request;
-    sim::ReplyFn<WriteAck> reply;
+    SegmentWrite part;
+    sim::ReplyFn<WriteAck> done;
     SimTime arrived_at = 0;
   };
 
   /// Submits everything in `append_queue_` as ONE device write; on
-  /// completion appends and acks the group in arrival order, then flushes
-  /// whatever queued meanwhile.
+  /// completion appends and acks the group's parts in arrival order, then
+  /// flushes whatever queued meanwhile.
   void FlushAppendGroup();
 
-  /// One queued (not yet dispatched) tenant write under the fair
+  /// One queued (not yet dispatched) tenant write part under the fair
   /// scheduler. The reply is deferred with it: acks happen only after the
   /// scheduler grants the disk slot and the durable append completes.
   struct TenantWrite {
-    WriteRequest request;
+    SegmentWrite part;
     sim::ReplyFn<WriteAck> reply;
     SimTime enqueued_at = 0;
     uint64_t cost = 1;  ///< serialized redo bytes — the DRR currency
@@ -208,7 +210,7 @@ class StorageNode : public sim::NodeLifecycleListener {
   };
 
   TenantState& TenantFor(VolumeId volume);
-  void EnqueueTenantWrite(SegmentStore* segment, const WriteRequest& request,
+  void EnqueueTenantWrite(SegmentStore* segment, const SegmentWrite& part,
                           sim::ReplyFn<WriteAck> reply);
   /// DRR scan: serves the next affordable head-of-queue request, earning
   /// quanta for backlogged tenants whose turn comes up short.
@@ -231,14 +233,14 @@ class StorageNode : public sim::NodeLifecycleListener {
       tenant_index_;
   /// Fair-scheduler queues and per-tenant accounting, keyed by volume.
   std::map<VolumeId, TenantState> tenants_;
-  /// Update queue: writes accepted while a group append is on the device.
+  /// Update queue: parts accepted while a group append is on the device.
   std::vector<PendingAppend> append_queue_;
   bool append_in_flight_ = false;
   /// Bumped by OnCrash so a group whose device write straddled a crash
   /// neither appends nor acks, even after a restart.
   uint64_t append_generation_ = 0;
   Histogram* m_append_wait_us_ = nullptr;
-  Histogram* m_append_group_requests_ = nullptr;
+  Histogram* m_append_group_parts_ = nullptr;
   /// True while a DRR dispatch→disk-completion chain is running; the
   /// chain re-arms itself until every tenant queue drains.
   bool drain_active_ = false;

@@ -17,12 +17,15 @@ struct Fixture {
   std::unique_ptr<sim::Network> network;
   std::unique_ptr<storage::ObjectStore> object_store;
   std::vector<std::unique_ptr<storage::StorageNode>> nodes;
-  quorum::PgConfig config;
+  quorum::PgConfig config;  ///< PG 0
+  std::vector<quorum::PgConfig> configs;
   std::unique_ptr<StorageDriver> driver;
   static constexpr NodeId kDriverNode = 1;
 
+  // `num_pgs` PGs share nodes 100..105: PG p's segments are 6p..6p+5, so
+  // every node hosts one segment of each PG.
   explicit Fixture(storage::StorageNodeOptions node_options = {},
-                   DriverOptions driver_options = {}) {
+                   DriverOptions driver_options = {}, int num_pgs = 1) {
     net_options.intra_az = LatencyDistribution::Constant(100);
     net_options.cross_az = LatencyDistribution::Constant(500);
     net_options.bytes_per_us = 0;
@@ -30,19 +33,28 @@ struct Fixture {
     object_store = std::make_unique<storage::ObjectStore>(&sim);
     network->RegisterNode(kDriverNode, 0);
 
-    std::vector<quorum::SegmentInfo> members;
-    for (SegmentId id = 0; id < 6; ++id) {
-      members.push_back({id, static_cast<NodeId>(100 + id),
-                         static_cast<AzId>(id / 2), true});
+    for (int pg = 0; pg < num_pgs; ++pg) {
+      std::vector<quorum::SegmentInfo> members;
+      for (SegmentId i = 0; i < 6; ++i) {
+        members.push_back({static_cast<SegmentId>(6 * pg) + i,
+                           static_cast<NodeId>(100 + i),
+                           static_cast<AzId>(i / 2), true});
+      }
+      configs.push_back(quorum::PgConfig::Create(
+          static_cast<ProtectionGroupId>(pg),
+          quorum::QuorumModel::kUniform46, members));
     }
-    config = quorum::PgConfig::Create(0, quorum::QuorumModel::kUniform46,
-                                      members);
+    config = configs[0];
     node_options.background_enabled = false;  // manual stage control
-    for (const auto& m : members) {
+    for (size_t i = 0; i < 6; ++i) {
+      const quorum::SegmentInfo m = config.AllMembers()[i];
       nodes.push_back(std::make_unique<storage::StorageNode>(
           &sim, network.get(), m.node, m.az, object_store.get(),
           node_options));
-      nodes.back()->AddSegment(m, 0, config, /*volume_epoch=*/1);
+      for (const auto& pg_config : configs) {
+        nodes.back()->AddSegment(pg_config.AllMembers()[i], pg_config.pg(),
+                                 pg_config, /*volume_epoch=*/1);
+      }
     }
     auto resolver = [this](NodeId id) -> storage::StorageNode* {
       for (auto& n : nodes) {
@@ -54,17 +66,23 @@ struct Fixture {
     driver_options.retry_interval = 20 * kMillisecond;
     driver = std::make_unique<StorageDriver>(
         &sim, network.get(), kDriverNode, resolver, driver_options);
-    driver->SetGeometry(quorum::VolumeGeometry(1 << 16, {config}), 1);
+    driver->SetGeometry(quorum::VolumeGeometry(1 << 16, configs), 1);
     driver->Start();
   }
 
   log::RedoRecord Record(Lsn lsn, BlockId block = 5) {
+    return PgRecord(lsn, 0, lsn - 1, block);
+  }
+
+  // Record `lsn` of PG `pg`, chained after `prev_in_pg` in that PG's log.
+  log::RedoRecord PgRecord(Lsn lsn, ProtectionGroupId pg, Lsn prev_in_pg,
+                           BlockId block = 5) {
     log::RedoRecord rec;
     rec.lsn = lsn;
     rec.prev_lsn_volume = lsn - 1;
-    rec.prev_lsn_segment = lsn - 1;
+    rec.prev_lsn_segment = prev_in_pg;
     rec.prev_lsn_block = 0;
-    rec.pg = 0;
+    rec.pg = pg;
     rec.block = block;
     storage::PageOp op;
     op.type = storage::PageOpType::kFormat;
@@ -266,6 +284,106 @@ TEST(StorageDriver, DualQuorumNeedsBothCandidateSets) {
   f.network->Crash(105);
   f.driver->SubmitRecords({f.Record(1)});
   f.sim.RunFor(100 * kMillisecond);
+  EXPECT_EQ(f.driver->tracker().vcl(), 1u);
+}
+
+// A per-node message costs what a per-segment request did when the node
+// hosts one segment: 64 B of envelope plus the records, a 64 B ack, and
+// the same ack time (one device write between the two wire hops).
+TEST(StorageDriver, OnePartMessageCostsOneEnvelopeAndOneRoundTrip) {
+  storage::StorageNodeOptions node_options;
+  node_options.disk.write_latency = LatencyDistribution::Constant(40);
+  node_options.disk.bytes_per_us = 0;
+  Fixture f(node_options);
+  const log::RedoRecord record = f.Record(1);
+  f.driver->SubmitRecords({record});
+  f.sim.RunFor(50 * kMillisecond);
+  EXPECT_EQ(f.driver->stats().write_requests, 6u);
+  EXPECT_EQ(f.network->stats().messages_sent, 12u);
+  EXPECT_EQ(f.network->stats().bytes_sent,
+            6 * (storage::kMessageOverheadBytes + record.SerializedSize()) +
+                6 * storage::kMessageOverheadBytes);
+  // Two same-AZ nodes (100us hops) and four cross-AZ ones (500us hops).
+  EXPECT_EQ(f.driver->write_ack_latency().min(), 100 + 40 + 100);
+  EXPECT_EQ(f.driver->write_ack_latency().max(), 500 + 40 + 500);
+}
+
+TEST(StorageDriver, MtrAcrossTwoPgsSendsOneMessagePerNode) {
+  storage::StorageNodeOptions node_options;
+  node_options.disk.write_latency = LatencyDistribution::Constant(40);
+  node_options.disk.bytes_per_us = 0;
+  Fixture f(node_options, {}, /*num_pgs=*/2);
+  log::RedoRecord first = f.PgRecord(1, 0, 0);
+  first.mtr = log::MtrBoundary::kBegin;
+  log::RedoRecord last = f.PgRecord(2, 1, 0);
+  last.mtr = log::MtrBoundary::kEnd;
+  f.driver->SubmitRecords({first, last});
+  f.sim.RunFor(50 * kMillisecond);
+  EXPECT_EQ(f.driver->stats().records_sent, 12u);
+  EXPECT_EQ(f.driver->stats().write_requests, 6u)
+      << "one message per node, not one per segment";
+  EXPECT_EQ(f.driver->stats().acks_received, 12u) << "one ack per part";
+  EXPECT_EQ(f.network->stats().messages_sent, 12u);
+  EXPECT_EQ(f.network->stats().bytes_sent,
+            6 * (storage::kMessageOverheadBytes +
+                 storage::kWritePartOverheadBytes + first.SerializedSize() +
+                 last.SerializedSize()) +
+                6 * (storage::kMessageOverheadBytes +
+                     storage::kWritePartOverheadBytes));
+  EXPECT_EQ(f.driver->write_ack_latency().max(), 500 + 40 + 500)
+      << "both parts ride one device write";
+  for (const auto& node : f.nodes) {
+    EXPECT_EQ(node->disk().ops_completed(), 1u);
+  }
+  EXPECT_EQ(f.driver->tracker().vcl(), 2u);
+  EXPECT_EQ(f.driver->tracker().vdl(), 2u);
+}
+
+TEST(StorageDriver, RetrySweepResendsOnePartMessages) {
+  Fixture f({}, {}, /*num_pgs=*/2);
+  // Nodes 103..105 down: three of six segments per PG, no write quorum,
+  // so the records stay retained for the sweep.
+  for (NodeId n = 103; n <= 105; ++n) f.network->Crash(n);
+  f.driver->SubmitRecords({f.PgRecord(1, 0, 0), f.PgRecord(2, 1, 0)});
+  f.sim.RunFor(10 * kMillisecond);
+  EXPECT_EQ(f.driver->stats().write_requests, 6u);
+  EXPECT_EQ(f.driver->tracker().vcl(), kInvalidLsn);
+  f.network->Restart(105);
+  // The first sweep (t = 20ms) resends each lagging segment its own PG's
+  // record: six segments on three nodes, six one-part messages.
+  f.sim.RunFor(15 * kMillisecond);
+  EXPECT_EQ(f.driver->stats().retransmissions, 6u);
+  EXPECT_EQ(f.driver->stats().write_requests, 12u)
+      << "a resend is a one-part message per segment";
+  EXPECT_EQ(f.driver->tracker().SclOf(0, 5), 1u);
+  EXPECT_EQ(f.driver->tracker().SclOf(1, 11), 2u);
+  EXPECT_EQ(f.driver->tracker().vcl(), 2u);
+}
+
+TEST(StorageDriver, SegmentMovedWhileBufferedConverges) {
+  Fixture f;
+  // Segment 0 moves from node 100 to a fresh node 106 (same AZ) after its
+  // record entered node 100's buffer but before the buffer dispatches.
+  storage::StorageNodeOptions node_options;
+  node_options.background_enabled = false;
+  f.nodes.push_back(std::make_unique<storage::StorageNode>(
+      &f.sim, f.network.get(), 106, 0, f.object_store.get(), node_options));
+  std::vector<quorum::SegmentInfo> members = f.config.AllMembers();
+  members[0].node = 106;
+  const quorum::PgConfig moved = quorum::PgConfig::Create(
+      0, quorum::QuorumModel::kUniform46, members);
+  f.nodes.back()->AddSegment(members[0], 0, moved, 1);
+  // With nodes 104 and 105 down, the write quorum needs segment 0.
+  f.network->Crash(104);
+  f.network->Crash(105);
+  f.driver->SubmitRecords({f.Record(1)});
+  f.nodes[0]->DropSegment(0);
+  f.driver->UpdatePgConfig(moved);
+  f.sim.RunFor(100 * kMillisecond);
+  EXPECT_GT(f.driver->stats().retransmissions, 0u)
+      << "node 100 no longer hosts segment 0; the sweep must resend";
+  EXPECT_EQ(f.nodes.back()->FindSegment(0)->scl(), 1u);
+  EXPECT_EQ(f.driver->tracker().SclOf(0, 0), 1u);
   EXPECT_EQ(f.driver->tracker().vcl(), 1u);
 }
 

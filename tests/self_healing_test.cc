@@ -43,7 +43,7 @@ core::AuroraOptions SmallVolume(uint64_t seed) {
   return options;
 }
 
-// Sends an empty (epoch-check-only) WriteRequest to every member of the
+// Sends an empty (epoch-check-only) write to every member of the
 // PG's current config carrying `membership_epoch`, and returns the set of
 // members that acked OK. Empty record batches exercise exactly the
 // fencing path without perturbing any log state.
@@ -55,13 +55,15 @@ quorum::SegmentSet ProbeWriteQuorum(core::AuroraCluster& cluster,
     storage::StorageNode* node = cluster.NodeForSegment(member.id);
     if (node == nullptr) continue;
     storage::WriteRequest request;
-    request.segment = member.id;
-    request.epochs = EpochVector{cluster.metadata().volume_epoch(),
-                                 membership_epoch};
+    request.parts.push_back(storage::SegmentWrite{
+        member.id,
+        EpochVector{cluster.metadata().volume_epoch(), membership_epoch},
+        {}});
     const SegmentId id = member.id;
-    node->HandleWrite(request, [acked, id](const storage::WriteAck& ack) {
-      if (ack.status.ok()) acked->insert(id);
-    });
+    node->HandleWrite(request,
+                      [acked, id](const storage::WriteResponse& response) {
+                        if (response.acks[0].status.ok()) acked->insert(id);
+                      });
   }
   cluster.RunFor(100 * kMillisecond);  // drain the disk-ack callbacks
   return *acked;

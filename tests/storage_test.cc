@@ -448,25 +448,39 @@ struct NodeFixture {
   struct Ack {
     int tag;
     SimTime at;
-    WriteAck ack;
+    WriteAck ack;  ///< the first part's result
+    WriteResponse response;
   };
 
-  // Sends a one-record write for `segment` (PG = segment / 6) at `at`;
-  // its ack is appended to `acks` tagged `tag`.
-  void WriteAt(SimTime at, int tag, SegmentId segment, Lsn lsn,
-               EpochVector epochs = {1, 1}) {
-    sim.ScheduleAt(at, [this, tag, segment, lsn, epochs]() {
+  struct Part {
+    SegmentId segment;
+    Lsn lsn;
+    EpochVector epochs = {1, 1};
+  };
+
+  // Sends one message at `at` with a one-record part per entry of `parts`
+  // (PG = segment / 6); its reply is appended to `acks` tagged `tag`.
+  void WritePartsAt(SimTime at, int tag, std::vector<Part> parts) {
+    sim.ScheduleAt(at, [this, tag, parts]() {
       WriteRequest request;
-      request.segment = segment;
-      request.epochs = epochs;
-      log::RedoRecord record =
-          DataRecord(lsn, lsn - 1, 7, 0, FormatOp());
-      record.pg = static_cast<ProtectionGroupId>(segment / 6);
-      request.records.push_back(std::move(record));
-      node->HandleWrite(request, [this, tag](WriteAck ack) {
-        acks.push_back(Ack{tag, sim.Now(), std::move(ack)});
+      for (const Part& p : parts) {
+        log::RedoRecord record =
+            DataRecord(p.lsn, p.lsn - 1, 7, 0, FormatOp());
+        record.pg = static_cast<ProtectionGroupId>(p.segment / 6);
+        request.parts.push_back(SegmentWrite{p.segment, p.epochs, {record}});
+      }
+      node->HandleWrite(request, [this, tag](WriteResponse response) {
+        WriteAck first = response.acks.front();
+        acks.push_back(
+            Ack{tag, sim.Now(), std::move(first), std::move(response)});
       });
     });
+  }
+
+  // A one-part message carrying record `lsn` for `segment`.
+  void WriteAt(SimTime at, int tag, SegmentId segment, Lsn lsn,
+               EpochVector epochs = {1, 1}) {
+    WritePartsAt(at, tag, {Part{segment, lsn, epochs}});
   }
 
   std::vector<int> AckTags() const {
@@ -553,6 +567,85 @@ TEST(StorageNode, StaleOrUnknownWritesRejectedBeforeQueueing) {
   EXPECT_EQ(f.node->FindSegment(0)->scl(), 1u);
 }
 
+TEST(StorageNode, TwoPartMessageIsOneDeviceWriteAndOneReply) {
+  NodeFixture f;
+  f.WritePartsAt(0, 1, {{0, 1}, {6, 1}});
+  f.sim.Run();
+  ASSERT_EQ(f.acks.size(), 1u) << "one reply per message";
+  EXPECT_EQ(f.acks[0].at, NodeFixture::kServiceUs)
+      << "both parts ride the idle device's first write";
+  EXPECT_EQ(f.node->disk().ops_completed(), 1u);
+  const auto& acks = f.acks[0].response.acks;
+  ASSERT_EQ(acks.size(), 2u);
+  EXPECT_EQ(acks[0].segment, 0u);
+  EXPECT_EQ(acks[1].segment, 6u);
+  for (const auto& ack : acks) {
+    EXPECT_TRUE(ack.status.ok()) << ack.status.ToString();
+    EXPECT_EQ(ack.scl, 1u);
+  }
+  EXPECT_EQ(f.node->FindSegment(0)->scl(), 1u);
+  EXPECT_EQ(f.node->FindSegment(6)->scl(), 1u);
+}
+
+TEST(StorageNode, RejectedPartDoesNotHoldBackTheOthers) {
+  NodeFixture f;
+  f.WritePartsAt(0, 1, {{42, 1}, {0, 1}});  // unknown segment first
+  f.WritePartsAt(1000, 2, {{0, 2, EpochVector{0, 1}}, {6, 1}});  // stale
+  f.sim.Run();
+  ASSERT_EQ(f.AckTags(), (std::vector<int>{1, 2}));
+  EXPECT_EQ(f.node->disk().ops_completed(), 2u)
+      << "the accepted part of each message is one device write";
+
+  const auto& first = f.acks[0].response.acks;
+  ASSERT_EQ(first.size(), 2u);
+  EXPECT_EQ(f.acks[0].at, NodeFixture::kServiceUs);
+  EXPECT_TRUE(first[0].status.IsNotFound());
+  EXPECT_TRUE(first[1].status.ok());
+  EXPECT_EQ(first[1].scl, 1u);
+
+  const auto& second = f.acks[1].response.acks;
+  ASSERT_EQ(second.size(), 2u);
+  EXPECT_EQ(f.acks[1].at, 1000 + NodeFixture::kServiceUs);
+  EXPECT_TRUE(second[0].status.IsStaleEpoch());
+  EXPECT_EQ(second[0].scl, 1u) << "a rejected part still reports its SCL";
+  EXPECT_TRUE(second[1].status.ok());
+  EXPECT_EQ(second[1].scl, 1u);
+  EXPECT_EQ(f.node->FindSegment(0)->scl(), 1u);
+  EXPECT_EQ(f.node->FindSegment(6)->scl(), 1u);
+}
+
+TEST(StorageNode, CrashDuringMultiPartAppendSendsNoReply) {
+  NodeFixture f;
+  f.WritePartsAt(0, 1, {{0, 1}, {6, 1}});  // on the device until t=100
+  f.sim.ScheduleAt(20, [&]() { f.network.Crash(NodeFixture::kNode); });
+  f.sim.ScheduleAt(30, [&]() { f.network.Restart(NodeFixture::kNode); });
+  f.sim.Run();
+  EXPECT_TRUE(f.acks.empty())
+      << "a message whose device write straddled a crash is never answered";
+  EXPECT_EQ(f.node->FindSegment(0)->scl(), kInvalidLsn);
+  EXPECT_EQ(f.node->FindSegment(6)->scl(), kInvalidLsn);
+}
+
+TEST(WriteMessages, OnlyPartsBeyondTheFirstAddWireBytes) {
+  const log::RedoRecord record = DataRecord(1, 0, 7, 0, FormatOp());
+  const uint64_t record_bytes = record.SerializedSize();
+  WriteRequest one;
+  one.parts.push_back(SegmentWrite{0, {1, 1}, {record, record}});
+  EXPECT_EQ(one.SerializedSize(), kMessageOverheadBytes + 2 * record_bytes)
+      << "a one-part message costs one envelope plus its records";
+  WriteRequest two = one;
+  two.parts.push_back(SegmentWrite{6, {1, 1}, {record}});
+  EXPECT_EQ(two.SerializedSize(), kMessageOverheadBytes +
+                                       kWritePartOverheadBytes +
+                                       3 * record_bytes);
+  WriteResponse reply;
+  reply.acks.resize(1);
+  EXPECT_EQ(reply.SerializedSize(), kMessageOverheadBytes);
+  reply.acks.resize(2);
+  EXPECT_EQ(reply.SerializedSize(),
+            kMessageOverheadBytes + kWritePartOverheadBytes);
+}
+
 TEST(StorageNode, DropSegmentDuringDiskOpsRepliesNotFound) {
   // DropSegment (repair planner, membership commit) frees the segment
   // while a write, a page read and a hydration read are on the device;
@@ -565,11 +658,11 @@ TEST(StorageNode, DropSegmentDuringDiskOpsRepliesNotFound) {
   std::optional<Status> write_status, read_status, hydration_status;
   f.sim.ScheduleAt(0, [&]() {
     WriteRequest write;
-    write.segment = 0;
-    write.epochs = {1, 1};
-    write.records.push_back(DataRecord(2, 1, 7, 1, InsertOp("k", "v")));
-    f.node->HandleWrite(write,
-                        [&](WriteAck ack) { write_status = ack.status; });
+    write.parts.push_back(
+        SegmentWrite{0, {1, 1}, {DataRecord(2, 1, 7, 1, InsertOp("k", "v"))}});
+    f.node->HandleWrite(write, [&](WriteResponse response) {
+      write_status = response.acks[0].status;
+    });
     ReadPageRequest read;
     read.segment = 0;
     read.epochs = {1, 1};
