@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Full verification sweep: the plain RelWithDebInfo build plus one
-# sanitized build per sanitizer (AURORA_SANITIZE=address, =undefined,
-# =thread), each running the ctest suite. This is the pre-merge gate; the
-# sanitized configs catch the lifetime and UB mistakes the callback-heavy
-# simulator makes easy, and the tsan config races the sharded parallel
-# engine's worker pool (DESIGN.md §9) over the concurrency-heavy tests.
+# Full verification sweep: the plain RelWithDebInfo build (with -Werror)
+# plus one sanitized build per sanitizer (AURORA_SANITIZE=address,
+# =undefined, =thread), each running the ctest suite. This is the
+# pre-merge gate; the sanitized configs catch the lifetime and UB mistakes
+# the callback-heavy simulator makes easy, and the tsan config races the
+# sharded parallel engine's worker pool (DESIGN.md §9) over the
+# concurrency-heavy tests.
 #
 # Usage:
 #   scripts/check.sh              # all four configs
@@ -52,7 +53,9 @@ run_config() {
   local dir="build-check/${config}"
   local -a cmake_args=(-DCMAKE_BUILD_TYPE=RelWithDebInfo)
   case "${config}" in
-    plain) ;;
+    # The plain config is the warning gate: the tree builds warning-free
+    # under -Wall -Wextra, and -Werror keeps it that way.
+    plain) cmake_args+=(-DCMAKE_CXX_FLAGS=-Werror) ;;
     address|undefined|thread) cmake_args+=("-DAURORA_SANITIZE=${config}") ;;
     *)
       echo "unknown config '${config}' (want plain, address, undefined," \

@@ -8,6 +8,15 @@
 
 namespace aurora::engine {
 
+namespace {
+// Resolved once; registry handles survive Registry::Reset().
+metrics::Counter* HistoryPurged() {
+  static metrics::Counter* const counter =
+      metrics::Registry::Global().GetCounter("aurora.read.history_purged");
+  return counter;
+}
+}  // namespace
+
 uint64_t ReplicationEvent::SerializedSize() const {
   uint64_t bytes = 64;
   for (const auto& r : mtr) bytes += r.SerializedSize();
@@ -959,11 +968,7 @@ void DbInstance::OnDurabilityAdvance() {
   last_shipped_vdl_ = current_vdl;
   if (options_.purge_commit_history) {
     const size_t purged = txns_.PurgeHistoryBelow(ComputePgmrpl());
-    if (purged > 0 && AURORA_METRICS_ON()) {
-      metrics::Registry::Global()
-          .GetCounter("aurora.read.history_purged")
-          ->Add(purged);
-    }
+    if (purged > 0) AURORA_COUNT(HistoryPurged(), purged);
   }
   if (cache_) cache_->TrimToCapacity(current_vdl);
 }
@@ -1011,9 +1016,12 @@ void DbInstance::ObserveReplicaReadPoint(NodeId replica, Lsn read_point) {
     const int64_t lag = current_vdl > read_point
                             ? static_cast<int64_t>(current_vdl - read_point)
                             : 0;
-    metrics::Registry::Global()
-        .GetGauge("replica.lag_lsns." + std::to_string(replica))
-        ->Set(lag);
+    auto [slot, inserted] = m_replica_lag_lsns_.try_emplace(replica, nullptr);
+    if (inserted) {
+      slot->second = metrics::Registry::Global().GetGauge(
+          "replica.lag_lsns." + std::to_string(replica));
+    }
+    slot->second->Set(lag);
   }
 }
 

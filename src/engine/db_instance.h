@@ -346,6 +346,8 @@ class DbInstance : public sim::NodeLifecycleListener {
   metrics::Gauge* m_commit_queue_depth_;
   Histogram* m_commit_wait_us_;
   metrics::Counter* m_degraded_rejected_;
+  // Per-replica lag gauges, resolved on first use.
+  std::map<NodeId, metrics::Gauge*> m_replica_lag_lsns_;
 };
 
 }  // namespace aurora::engine

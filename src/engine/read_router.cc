@@ -4,11 +4,18 @@
 
 namespace aurora::engine {
 
+namespace {
+// Resolved once; registry handles survive Registry::Reset().
+metrics::Counter* Hedges() {
+  static metrics::Counter* const counter =
+      metrics::Registry::Global().GetCounter("read.hedges");
+  return counter;
+}
+}  // namespace
+
 void ReadRouter::CountHedge() {
   hedged_reads_++;
-  if (AURORA_METRICS_ON()) {
-    metrics::Registry::Global().GetCounter("read.hedges")->Add(1);
-  }
+  AURORA_COUNT(Hedges(), 1);
 }
 
 void ReadRouter::ObserveLatency(SegmentId segment, SimDuration latency) {

@@ -7,6 +7,15 @@
 
 namespace aurora::log {
 
+namespace {
+// Resolved once; registry handles survive Registry::Reset().
+metrics::Counter* SclAdvances() {
+  static metrics::Counter* const counter =
+      metrics::Registry::Global().GetCounter("storage.scl_advances");
+  return counter;
+}
+}  // namespace
+
 SegmentHotLog::Iter SegmentHotLog::LowerBound(Lsn lsn) const {
   return std::lower_bound(
       records_.begin(), records_.end(), lsn,
@@ -34,18 +43,33 @@ Status SegmentHotLog::Append(const RedoRecord& record) {
   // Hot path: a single writer allocates LSNs monotonically, so almost
   // every arrival lands past the current back — O(1), no node allocation.
   if (records_.empty() || record.lsn > records_.back().lsn) {
-    records_.push_back(record);
-  } else {
-    const Iter it = LowerBound(record.lsn);
-    if (it != records_.end() && it->lsn == record.lsn) {
-      return Status::OK();  // idempotent re-delivery
+    // With every stored record at or below SCL, the new tail is the only
+    // record above it and nothing can follow it: no chain walk needed.
+    const bool chain_at_back =
+        records_.empty() || records_.back().lsn <= scl_;
+    Store(records_.size(), record);
+    if (!chain_at_back) {
+      AdvanceScl();
+    } else if (record.prev_lsn_segment == scl_) {
+      scl_ = record.lsn;
+      AURORA_COUNT(SclAdvances(), 1);
     }
-    // Out-of-order arrival (gossip fill, retransmission): sorted insert.
-    records_.insert(records_.begin() + (it - records_.begin()), record);
+    return Status::OK();
   }
-  total_bytes_ += record.SerializedSize();
+  const Iter it = LowerBound(record.lsn);
+  if (it != records_.end() && it->lsn == record.lsn) {
+    return Status::OK();  // idempotent re-delivery
+  }
+  // Out-of-order arrival (gossip fill, retransmission): sorted insert.
+  Store(it - records_.begin(), record);
   AdvanceScl();
   return Status::OK();
+}
+
+void SegmentHotLog::Store(size_t index, const RedoRecord& record) {
+  records_.insert(records_.begin() + index, record);
+  crcs_.insert(crcs_.begin() + index, RecordBodyCrc(record));
+  total_bytes_ += record.SerializedSize();
 }
 
 void SegmentHotLog::AdvanceScl() {
@@ -57,9 +81,7 @@ void SegmentHotLog::AdvanceScl() {
     scl_ = it->lsn;
     ++it;
   }
-  if (scl_ != before && AURORA_METRICS_ON()) {
-    metrics::Registry::Global().GetCounter("storage.scl_advances")->Add(1);
-  }
+  if (scl_ != before) AURORA_COUNT(SclAdvances(), 1);
 }
 
 void SegmentHotLog::RewindScl() {
@@ -71,8 +93,18 @@ void SegmentHotLog::RewindScl() {
 }
 
 bool SegmentHotLog::Contains(Lsn lsn) const {
+  if (records_.empty() || lsn > records_.back().lsn) return false;
   const Iter it = LowerBound(lsn);
   return it != records_.end() && it->lsn == lsn;
+}
+
+std::vector<Lsn> SegmentHotLog::CorruptRecords() const {
+  std::vector<Lsn> bad;
+  auto crc = crcs_.begin();
+  for (const RedoRecord& record : records_) {
+    if (RecordBodyCrc(record) != *crc++) bad.push_back(record.lsn);
+  }
+  return bad;
 }
 
 const RedoRecord* SegmentHotLog::Find(Lsn lsn) const {
@@ -130,8 +162,10 @@ void SegmentHotLog::Truncate(const TruncationRange& range) {
     total_bytes_ -= hi->SerializedSize();
     ++hi;
   }
-  records_.erase(records_.begin() + (lo - records_.begin()),
-                 records_.begin() + (hi - records_.begin()));
+  const auto first = lo - records_.begin();
+  const auto last = hi - records_.begin();
+  records_.erase(records_.begin() + first, records_.begin() + last);
+  crcs_.erase(crcs_.begin() + first, crcs_.begin() + last);
   if (scl_ >= range.start) {
     // SCL may not point into the annulled range; rewind to the last kept
     // record on the chain.
@@ -143,7 +177,9 @@ bool SegmentHotLog::Remove(Lsn lsn) {
   const Iter it = LowerBound(lsn);
   if (it == records_.end() || it->lsn != lsn) return false;
   total_bytes_ -= it->SerializedSize();
-  records_.erase(records_.begin() + (it - records_.begin()));
+  const auto index = it - records_.begin();
+  records_.erase(records_.begin() + index);
+  crcs_.erase(crcs_.begin() + index);
   if (scl_ >= lsn) {
     RewindScl();
   }
@@ -167,6 +203,7 @@ void SegmentHotLog::EvictBelow(Lsn lsn) {
   while (!records_.empty() && records_.front().lsn <= lsn) {
     total_bytes_ -= records_.front().SerializedSize();
     records_.pop_front();
+    crcs_.pop_front();
   }
   gc_floor_ = std::max(gc_floor_, lsn);
 }

@@ -16,6 +16,16 @@
 // order, record i+1 extends the chain iff its prev_lsn_segment equals
 // record i's LSN. Chain-walk anchoring below the GC floor uses the floor
 // itself (everything at or below it was chain-complete when evicted).
+//
+// The in-order arrival is O(1) end to end: a record past the back needs
+// no search to be told apart from a duplicate, and when every stored
+// record is already at or below SCL it extends SCL iff it links to SCL —
+// nothing can follow the new tail, so there is no chain walk.
+//
+// Each stored record's body checksum (RecordBodyCrc) is taken as it is
+// stored and kept index-aligned with it, so eviction, truncation and
+// removal drop the checksum together with its record, and scrub verifies
+// the log in one LSN-order pass.
 
 #pragma once
 
@@ -46,10 +56,11 @@ struct TruncationRange {
 /// tracking.
 class SegmentHotLog {
  public:
-  /// Appends a record. Idempotent: re-appending an LSN already present is
-  /// OK (quorum writes retry). Records annulled by a truncation range are
-  /// silently ignored (§2.4: in-flight operations completing during crash
-  /// recovery must be ignored).
+  /// Appends a record and takes its body checksum. Idempotent:
+  /// re-appending an LSN already present is OK (quorum writes retry).
+  /// Records annulled by a truncation range are silently ignored (§2.4:
+  /// in-flight operations completing during crash recovery must be
+  /// ignored).
   Status Append(const RedoRecord& record);
 
   /// Segment Complete LSN: highest LSN reachable from the chain start with
@@ -58,6 +69,10 @@ class SegmentHotLog {
 
   bool Contains(Lsn lsn) const;
   const RedoRecord* Find(Lsn lsn) const;
+
+  /// Scrub (§2.1 activity 8): LSNs of stored records whose body no longer
+  /// matches the checksum taken when they were stored, in LSN order.
+  std::vector<Lsn> CorruptRecords() const;
 
   size_t RecordCount() const { return records_.size(); }
   uint64_t TotalBytes() const { return total_bytes_; }
@@ -107,6 +122,9 @@ class SegmentHotLog {
   /// are random-access).
   Iter LowerBound(Lsn lsn) const;
   RedoRecord* FindMutable(Lsn lsn);
+  /// Inserts `record` at position `index` of the sorted log, with its
+  /// checksum beside it.
+  void Store(size_t index, const RedoRecord& record);
   void AdvanceScl();
   /// Recomputes SCL from the chain anchor after a removal mid-chain.
   void RewindScl();
@@ -115,6 +133,8 @@ class SegmentHotLog {
   /// Sorted by LSN; contiguous prefix is the chain, back is the
   /// out-of-order tail.
   std::deque<RedoRecord> records_;
+  /// crcs_[i] is RecordBodyCrc(records_[i]) as it was when stored.
+  std::deque<uint32_t> crcs_;
   Lsn scl_ = kInvalidLsn;
   Lsn gc_floor_ = kInvalidLsn;
   uint64_t total_bytes_ = 0;

@@ -30,6 +30,13 @@ ReadMetrics& M() {
   }();
   return m;
 }
+// Resolved on its own: it is recorded on every replication event, when
+// the handles above may never be needed.
+Histogram* StreamLagUs() {
+  static Histogram* const histogram =
+      metrics::Registry::Global().GetHistogram("replica.stream_lag_us");
+  return histogram;
+}
 }  // namespace
 
 ReadReplica::ReadReplica(sim::Simulator* sim, sim::Network* network,
@@ -147,11 +154,7 @@ void ReadReplica::OnReplicationEvent(const engine::ReplicationEvent& event) {
   if (event.shipped_at > 0) {
     const SimDuration lag = sim_->Now() - event.shipped_at;
     replica_lag_.Record(lag);
-    if (AURORA_METRICS_ON()) {
-      metrics::Registry::Global()
-          .GetHistogram("replica.stream_lag_us")
-          ->Record(lag);
-    }
+    AURORA_OBSERVE(StreamLagUs(), lag);
   }
   CheckStreamContinuity(event);
   switch (event.type) {

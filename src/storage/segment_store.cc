@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/common/crc32.h"
 #include "src/common/logging.h"
 #include "src/common/metrics.h"
 
@@ -66,7 +65,6 @@ Status SegmentStore::CheckEpochs(const EpochVector& epochs) {
 }
 
 void SegmentStore::IndexRecord(const log::RedoRecord& record) {
-  record_crcs_[record.lsn] = log::RecordBodyCrc(record);
   // Commit records carry a status-index page op and materialize like any
   // other change; only control records carry no block payload.
   if (info_.is_full && record.type != log::RecordType::kControl &&
@@ -260,8 +258,6 @@ size_t SegmentStore::GarbageCollect() {
     hot_log_.EvictBelow(evict_to);
     removed += before - hot_log_.RecordCount();
     stats_.records_gced += before - hot_log_.RecordCount();
-    record_crcs_.erase(record_crcs_.begin(),
-                       record_crcs_.upper_bound(evict_to));
   }
   // Version GC: older versions are reclaimed only once no reader (writer
   // instance or replica) can need them (§3.4): keep everything above
@@ -281,17 +277,8 @@ size_t SegmentStore::GarbageCollect() {
 
 size_t SegmentStore::Scrub() {
   size_t corruptions = 0;
-  std::vector<Lsn> bad;
-  for (const auto& [lsn, crc] : record_crcs_) {
-    const log::RedoRecord* record = hot_log_.Find(lsn);
-    if (record == nullptr) continue;
-    if (log::RecordBodyCrc(*record) != crc) {
-      bad.push_back(lsn);
-    }
-  }
-  for (Lsn lsn : bad) {
+  for (Lsn lsn : hot_log_.CorruptRecords()) {
     hot_log_.Remove(lsn);
-    record_crcs_.erase(lsn);
     // Drop any pending-redo entry built from the corrupt record.
     for (auto& [block, pending] : pending_redo_) pending.erase(lsn);
     corruptions++;
@@ -335,8 +322,6 @@ Status SegmentStore::UpdateVolumeEpoch(
   if (request.truncation.has_value()) {
     const auto& range = *request.truncation;
     hot_log_.Truncate(range);
-    record_crcs_.erase(record_crcs_.lower_bound(range.start),
-                       record_crcs_.upper_bound(range.end));
     // Drop pending redo and materialized versions inside the annulled
     // range (§2.4: in-flight writes completing during recovery must be
     // ignored; versions built from annulled records are invalid).
@@ -415,7 +400,6 @@ void SegmentStore::ResetToArchive(const std::vector<log::RedoRecord>& records,
       hot_log_.truncations();
   hot_log_ = log::SegmentHotLog();
   for (const auto& range : annulled) hot_log_.Truncate(range);
-  record_crcs_.clear();
   pending_redo_.clear();
   versions_.clear();
   coalesce_cursor_ = kInvalidLsn;

@@ -116,8 +116,9 @@ class SegmentStore {
   /// (keeping the newest version at or below it). Returns items removed.
   size_t GarbageCollect();
 
-  /// Scrub (§2.1 activity 8): re-verifies stored record checksums. Corrupt
-  /// records are dropped (gossip will re-fill them). Returns corruptions.
+  /// Scrub (§2.1 activity 8): re-verifies stored record checksums in one
+  /// LSN-order pass over the hot log. Corrupt records are dropped (gossip
+  /// will re-fill them). Returns corruptions.
   size_t Scrub();
 
   /// Installs a new membership config. Accepts monotonically newer epochs
@@ -165,9 +166,9 @@ class SegmentStore {
   bool hydrated_ = true;
   Lsn hydration_target_ = kInvalidLsn;
 
+  // Keeps each record's checksum, taken on arrival, beside the record;
+  // Scrub() re-verifies.
   log::SegmentHotLog hot_log_;
-  // Record checksums captured at append; Scrub() re-verifies.
-  std::map<Lsn, uint32_t> record_crcs_;
   // Per-block pending (un-coalesced) redo, in LSN order.
   std::map<BlockId, std::map<Lsn, log::RedoRecord>> pending_redo_;
   // Out-of-place materialized versions per block, keyed by page_lsn.

@@ -20,6 +20,21 @@
 
 namespace aurora::storage {
 
+namespace {
+// Fleet-wide background-activity counters, each resolved on first use
+// (registry handles survive Registry::Reset()).
+metrics::Counter* GossipRounds() {
+  static metrics::Counter* const counter =
+      metrics::Registry::Global().GetCounter("storage.gossip_rounds");
+  return counter;
+}
+metrics::Counter* ScrubRuns() {
+  static metrics::Counter* const counter =
+      metrics::Registry::Global().GetCounter("storage.scrub_runs");
+  return counter;
+}
+}  // namespace
+
 StorageNode::StorageNode(sim::Simulator* sim, sim::Network* network,
                          NodeId id, AzId az, ObjectStore* object_store,
                          StorageNodeOptions options)
@@ -348,9 +363,10 @@ void StorageNode::HandleSegmentState(const SegmentStateRequest& request,
                                      sim::ReplyFn<SegmentStateResponse> reply) {
   SegmentStore* segment = FindSegment(request.segment);
   if (segment == nullptr) {
-    reply(SegmentStateResponse{Status::NotFound("no such segment"),
-                               request.segment, kInvalidLsn, false, false, 0,
-                               0});
+    SegmentStateResponse response;
+    response.status = Status::NotFound("no such segment");
+    response.segment = request.segment;
+    reply(std::move(response));
     return;
   }
   SegmentStateResponse response;
@@ -428,7 +444,7 @@ void StorageNode::HandleHydration(const HydrationRequest& request,
                                   sim::ReplyFn<HydrationResponse> reply) {
   SegmentStore* segment = FindSegment(request.from_segment);
   if (segment == nullptr) {
-    reply(HydrationResponse{Status::NotFound("no such segment"), {}, {}});
+    reply(HydrationResponse{Status::NotFound("no such segment"), {}, {}, {}});
     return;
   }
   disk_.SubmitRead(64 * 1024, [reply = std::move(reply), request,
@@ -437,7 +453,7 @@ void StorageNode::HandleHydration(const HydrationRequest& request,
     // Re-resolve: the segment may have been dropped during the I/O.
     SegmentStore* segment = FindSegment(request.from_segment);
     if (segment == nullptr) {
-      reply(HydrationResponse{Status::NotFound("no such segment"), {}, {}});
+      reply(HydrationResponse{Status::NotFound("no such segment"), {}, {}, {}});
       return;
     }
     reply(segment->BuildHydration(request));
@@ -474,9 +490,7 @@ void StorageNode::RunGossipOnce() {
 }
 
 void StorageNode::GossipSegment(SegmentStore* segment) {
-  if (AURORA_METRICS_ON()) {
-    metrics::Registry::Global().GetCounter("storage.gossip_rounds")->Add(1);
-  }
+  AURORA_COUNT(GossipRounds(), 1);
   // Pick a random peer from the current membership.
   const auto members = segment->config().AllMembers();
   std::vector<quorum::SegmentInfo> peers;
@@ -565,9 +579,7 @@ void StorageNode::RunGcOnce() {
 }
 
 void StorageNode::RunScrubOnce() {
-  if (AURORA_METRICS_ON()) {
-    metrics::Registry::Global().GetCounter("storage.scrub_runs")->Add(1);
-  }
+  AURORA_COUNT(ScrubRuns(), 1);
   for (auto& [id, segment] : segments_) {
     segment->Scrub();
   }
@@ -610,7 +622,7 @@ void StorageNode::StartHydrationPull(SegmentId local_segment) {
         StorageNode* donor_node = resolver_ ? resolver_(donor.node) : nullptr;
         if (donor_node == nullptr) {
           reply(HydrationResponse{Status::Unavailable("donor unresolved"),
-                                  {}, {}});
+                                  {}, {}, {}});
           return;
         }
         donor_node->HandleHydration(request, std::move(reply));

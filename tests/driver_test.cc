@@ -273,9 +273,10 @@ TEST(StorageDriver, DualQuorumNeedsBothCandidateSets) {
   auto mid = f.config.BeginReplace(5, g);
   ASSERT_TRUE(mid.ok());
   // Host G.
+  storage::StorageNodeOptions node_options;
+  node_options.background_enabled = false;
   f.nodes.push_back(std::make_unique<storage::StorageNode>(
-      &f.sim, f.network.get(), 110, 2, f.object_store.get(),
-      storage::StorageNodeOptions{.background_enabled = false}));
+      &f.sim, f.network.get(), 110, 2, f.object_store.get(), node_options));
   f.nodes.back()->AddSegment(g, 0, *mid, 1, /*hydrated=*/false);
   f.driver->UpdatePgConfig(*mid);
   // Crash E and F: survivors are ABCD + G. ABCD alone satisfies BOTH

@@ -59,6 +59,161 @@ TEST_P(SclPropertyTest, SclEqualsContiguousPrefixUnderRandomDelivery) {
   EXPECT_EQ(log.scl(), expected);
 }
 
+// The hot log's O(1) in-order append and its per-record checksums, checked
+// against a naive model under the mix a segment really sees: mostly
+// in-order delivery of one PG's sparse chain (prev_lsn_segment skips the
+// LSNs of other PGs), duplicates, late gap fills, and GC eviction,
+// truncation and removal interleaved with the appends. After every step,
+// SCL, membership of every LSN, record count and bytes equal a
+// recomputation from the model, and scrub finds exactly what was
+// corrupted — so each checksum stays aligned with its record.
+TEST_P(SclPropertyTest, InOrderFastPathMatchesModelUnderMixedOps) {
+  Rng rng(GetParam());
+  const Lsn max_lsn = 300;
+  std::vector<log::RedoRecord> chain;
+  std::set<Lsn> chain_lsns;
+  Lsn prev = kInvalidLsn;
+  for (Lsn l = 1; l <= max_lsn; ++l) {
+    if (!rng.Bernoulli(0.5)) continue;  // an LSN of another PG
+    log::RedoRecord rec;
+    rec.lsn = l;
+    rec.prev_lsn_segment = prev;
+    rec.block = 1 + rng.NextBounded(4);
+    std::string payload(1 + rng.NextBounded(48), '\0');
+    for (char& c : payload) c = static_cast<char>(rng.Next());
+    rec.payload = log::Payload(std::move(payload));
+    chain.push_back(rec);
+    chain_lsns.insert(l);
+    prev = l;
+  }
+
+  log::SegmentHotLog log;
+  std::map<Lsn, const log::RedoRecord*> stored;
+  std::vector<log::TruncationRange> truncations;
+  Lsn floor = kInvalidLsn;
+  auto annulled = [&](Lsn lsn) {
+    for (const auto& range : truncations) {
+      if (range.Annuls(lsn)) return true;
+    }
+    return false;
+  };
+  auto model_append = [&](const log::RedoRecord& rec) {
+    if (annulled(rec.lsn) || (floor != kInvalidLsn && rec.lsn <= floor)) {
+      return;
+    }
+    stored.emplace(rec.lsn, &rec);
+  };
+  // SCL: walk the stored records in LSN order from the GC floor while
+  // each links to the last.
+  auto model_scl = [&] {
+    Lsn scl = floor;
+    for (auto it = stored.upper_bound(floor);
+         it != stored.end() && it->second->prev_lsn_segment == scl; ++it) {
+      scl = it->first;
+    }
+    return scl;
+  };
+  auto check = [&](const std::string& step) {
+    SCOPED_TRACE(step);
+    ASSERT_EQ(log.scl(), model_scl());
+    ASSERT_EQ(log.RecordCount(), stored.size());
+    uint64_t bytes = 0;
+    for (const auto& [lsn, rec] : stored) bytes += rec->SerializedSize();
+    ASSERT_EQ(log.TotalBytes(), bytes);
+    for (Lsn l = 1; l <= max_lsn + 1; ++l) {
+      ASSERT_EQ(log.Contains(l), stored.contains(l)) << "lsn " << l;
+    }
+    ASSERT_TRUE(log.CorruptRecords().empty());
+  };
+  auto deliver = [&](const log::RedoRecord& rec, const char* what) {
+    ASSERT_TRUE(log.Append(rec).ok());
+    model_append(rec);
+    check(std::string(what) + " " + std::to_string(rec.lsn));
+  };
+  // A random stored LSN, or kInvalidLsn if nothing is stored.
+  auto pick_stored = [&]() -> Lsn {
+    if (stored.empty()) return kInvalidLsn;
+    auto it = stored.begin();
+    std::advance(it, rng.NextBounded(stored.size()));
+    return it->first;
+  };
+
+  size_t next = 0;
+  std::vector<size_t> late;  // chain indices held back for a gap fill
+  while ((next < chain.size() || !late.empty()) && !HasFatalFailure()) {
+    const double op = rng.NextDouble();
+    if (op < 0.70 && next < chain.size()) {
+      if (rng.Bernoulli(0.1)) {
+        late.push_back(next++);  // lost on the way; gossip fills it later
+        continue;
+      }
+      deliver(chain[next++], "in-order");
+    } else if (op < 0.80 && next > 0) {
+      deliver(chain[rng.NextBounded(next)], "duplicate");
+    } else if (op < 0.90 && !late.empty()) {
+      const size_t i = rng.NextBounded(late.size());
+      const size_t index = late[i];
+      late.erase(late.begin() + static_cast<std::ptrdiff_t>(i));
+      deliver(chain[index], "gap fill");
+    } else if (op < 0.93) {
+      // GC evicts a chain-complete prefix: a stored LSN at or below SCL.
+      const Lsn lsn = pick_stored();
+      if (lsn == kInvalidLsn || lsn > log.scl()) continue;
+      log.EvictBelow(lsn);
+      stored.erase(stored.begin(), stored.upper_bound(lsn));
+      floor = std::max(floor, lsn);
+      check("evict " + std::to_string(lsn));
+    } else if (op < 0.95) {
+      const Lsn start = 1 + rng.NextBounded(max_lsn);
+      const log::TruncationRange range{start, start + rng.NextBounded(8)};
+      log.Truncate(range);
+      truncations.push_back(range);
+      stored.erase(stored.lower_bound(range.start),
+                   stored.upper_bound(range.end));
+      check("truncate " + std::to_string(range.start));
+    } else if (op < 0.96) {
+      const Lsn lsn = pick_stored();
+      if (lsn == kInvalidLsn) continue;
+      ASSERT_TRUE(log.Remove(lsn));
+      stored.erase(lsn);
+      check("remove " + std::to_string(lsn));
+    } else if (op < 0.985) {
+      // A stray record past the back (another PG's LSN) whose back-link
+      // names SCL or something below it, but not its real predecessor:
+      // SCL may follow it only if it is the next record above SCL and
+      // names SCL exactly. Then it is dropped again.
+      Lsn lsn = std::max(floor, stored.empty() ? kInvalidLsn
+                                               : stored.rbegin()->first);
+      do {
+        ++lsn;
+      } while (chain_lsns.contains(lsn));
+      if (lsn > max_lsn || annulled(lsn)) continue;
+      log::RedoRecord stray;
+      stray.lsn = lsn;
+      stray.prev_lsn_segment =
+          rng.Bernoulli(0.5) ? log.scl() : rng.NextBounded(log.scl() + 1);
+      deliver(stray, "stray");
+      ASSERT_TRUE(log.Remove(lsn));
+      stored.erase(lsn);
+      check("drop stray " + std::to_string(lsn));
+    } else {
+      // Scrub: a flipped payload byte is found, exactly; dropping the
+      // record and re-filling it from a peer leaves the log clean.
+      const Lsn lsn = pick_stored();
+      if (lsn == kInvalidLsn) continue;
+      ASSERT_TRUE(log.CorruptPayloadForTest(lsn));
+      ASSERT_EQ(log.CorruptRecords(), std::vector<Lsn>{lsn});
+      ASSERT_TRUE(log.Remove(lsn));
+      stored.erase(lsn);
+      check("scrub " + std::to_string(lsn));
+      for (size_t i = 0; i < next; ++i) {
+        if (chain[i].lsn == lsn) late.push_back(i);
+      }
+    }
+  }
+  check("end");
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, SclPropertyTest,
                          ::testing::Range<uint64_t>(1, 13));
 
