@@ -58,7 +58,7 @@ HedgePoint ReadTail(double multiplier, SimDuration max_hedge_delay) {
   for (int i = 0; i < 300; ++i) {
     bool done = false;
     const SimTime start = cluster.sim().Now();
-    driver->ReadBlock(block, read_lsn, kInvalidLsn,
+    driver->ReadBlock(block, read_lsn,
                       [&](Result<storage::Page> page) {
                         if (page.ok()) {
                           point.latencies.Record(cluster.sim().Now() - start);

@@ -57,7 +57,7 @@ ReadResult AuroraReads(core::AuroraCluster& cluster, int n) {
   for (int i = 0; i < n; ++i) {
     const SimTime start = cluster.sim().Now();
     bool done = false;
-    driver->ReadBlock(block, read_lsn, read_lsn,
+    driver->ReadBlock(block, read_lsn,
                       [&](Result<storage::Page> page) {
                         if (page.ok()) {
                           result.latency.Record(cluster.sim().Now() - start);

@@ -52,7 +52,7 @@ PipelineResult RunAtRate(double txn_per_sec) {
       result.fleet.records_gced += s.records_gced;
       result.fleet.scrub_corruptions_found += s.scrub_corruptions_found;
       result.hot_log_records += segment->hot_log().RecordCount();
-      result.versions_bytes += segment->TotalVersionBytes();
+      result.versions_bytes += segment->PageBytes();
     }
   }
   result.archive_bytes = cluster.object_store().bytes_stored();

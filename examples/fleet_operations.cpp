@@ -35,10 +35,10 @@ int main() {
   for (const auto& node : cluster.storage_nodes()) {
     for (const auto& [id, segment] : node->segments()) {
       if (segment->is_full()) {
-        full_bytes += segment->TotalVersionBytes();
-        one_copy = std::max(one_copy, segment->TotalVersionBytes());
+        full_bytes += segment->PageBytes();
+        one_copy = std::max(one_copy, segment->PageBytes());
       } else {
-        tail_bytes += segment->TotalVersionBytes();
+        tail_bytes += segment->PageBytes();
       }
     }
   }

@@ -84,11 +84,11 @@ int main() {
     for (const auto& [id, segment] : node->segments()) {
       std::printf(
           "  segment %u (node %u, az %u): scl=%llu, %zu hot records, "
-          "%llu bytes of versions\n",
+          "%llu bytes of folded pages\n",
           id, node->id(), node->az(),
           static_cast<unsigned long long>(segment->scl()),
           segment->hot_log().RecordCount(),
-          static_cast<unsigned long long>(segment->TotalVersionBytes()));
+          static_cast<unsigned long long>(segment->PageBytes()));
     }
   }
   std::printf("\nno 2PC, no Paxos — just quorum writes and local "

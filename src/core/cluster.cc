@@ -420,6 +420,10 @@ void AuroraCluster::WireReplica(replica::ReadReplica* rep) {
                               });
   engine::DbInstance* writer = writer_.get();
   const NodeId rep_id = rep->id();
+  // Seed the replica's read point now rather than at its first report, so
+  // a fresh or promoted writer never ships a PGMRPL that ignores it (§3.4).
+  // A replica with no VDL yet reports kInvalidLsn, which holds PGMRPL.
+  writer->ObserveReplicaReadPoint(rep_id, rep->MinReadPoint());
   rep->SetReadPointReporter([writer, rep_id](Lsn point) {
     writer->ObserveReplicaReadPoint(rep_id, point);
   });

@@ -67,6 +67,7 @@ void DbInstance::InitComponents(const quorum::VolumeGeometry& geometry,
   // Recovery rebuilds the driver; re-apply the externally installed ack
   // observer (health monitoring) so it survives crash/failover.
   if (ack_observer_) driver_->SetAckObserver(ack_observer_);
+  driver_->SetPgmrplSource([this]() { return ComputePgmrpl(); });
   btree_ = std::make_unique<BTree>(
       options_.btree,
       [this](BlockId block, std::function<void(Result<storage::Page*>)> f) {
@@ -149,8 +150,7 @@ void DbInstance::WithPage(BlockId block,
   it->second.push_back(std::move(cb));
   if (!inserted) return;  // fetch already in flight
   driver_->ReadBlock(
-      block, vdl(), ComputePgmrpl(),
-      [this, block](Result<storage::Page> page) {
+      block, vdl(), [this, block](Result<storage::Page> page) {
         auto waiters = pending_fetches_.extract(block);
         if (waiters.empty()) return;  // crashed meanwhile
         if (!page.ok()) {

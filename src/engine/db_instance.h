@@ -100,7 +100,7 @@ struct DbOptions {
   /// Opt-in (§3.4): drop commit-history entries below PGMRPL whenever
   /// durability advances. Long-running replica read views hold PGMRPL
   /// back, so this makes their GC pressure observable on the writer too
-  /// (mirroring version GC at the segments). Off by default: purging
+  /// (mirroring the fold at the segments). Off by default: purging
   /// changes which commits resolve from memory vs the status index, so
   /// enabling it perturbs read schedules.
   bool purge_commit_history = false;
@@ -188,6 +188,10 @@ class DbInstance : public sim::NodeLifecycleListener {
   Lsn pgcl(ProtectionGroupId pg) const {
     return driver_ ? driver_->tracker().pgcl(pg) : kInvalidLsn;
   }
+  /// PGMRPL (§3.4): the lowest of VDL, this instance's oldest open read
+  /// view and every attached replica's reported read point. A replica
+  /// that has reported kInvalidLsn holds it at kInvalidLsn. Stamped on
+  /// every write message.
   Lsn ComputePgmrpl() const;
   Lsn next_lsn() const { return next_lsn_; }
   VolumeEpoch volume_epoch() const {

@@ -142,6 +142,7 @@ void StorageDriver::SendWrite(NodeId target,
         volume_epoch_, geometry_.Pg(channels_.at(part.segment).pg).epoch()};
   }
   request->parts = std::move(parts);
+  if (pgmrpl_source_) request->pgmrpl = pgmrpl_source_();
   stats_.write_requests++;
   AURORA_COUNT(m_write_requests_, 1);
   AURORA_OBSERVE(m_write_request_segments_,
@@ -379,7 +380,6 @@ namespace {
 struct ReadStateImpl {
   BlockId block;
   Lsn read_lsn;
-  Lsn pgmrpl;
   ProtectionGroupId pg;
   std::vector<SegmentId> candidates;  // ranked
   size_t next_candidate = 0;
@@ -391,7 +391,7 @@ struct ReadStateImpl {
 
 struct ReadState : ReadStateImpl {};
 
-void StorageDriver::ReadBlock(BlockId block, Lsn read_lsn, Lsn pgmrpl,
+void StorageDriver::ReadBlock(BlockId block, Lsn read_lsn,
                               ReadCallback cb) {  // NOLINT
   auto pg = geometry_.PgForBlock(block);
   if (!pg.ok()) {
@@ -407,11 +407,6 @@ void StorageDriver::ReadBlock(BlockId block, Lsn read_lsn, Lsn pgmrpl,
   if (group_point != kInvalidLsn && group_point < read_lsn) {
     read_lsn = group_point;
   }
-  // The piggybacked minimum read point is a GLOBAL LSN; never advertise
-  // one above the (group-clamped) read point or the node would reject the
-  // read as below PGMRPL. A lower report is always safe — it only delays
-  // version GC.
-  if (pgmrpl != kInvalidLsn) pgmrpl = std::min(pgmrpl, read_lsn);
   const auto& config = geometry_.Pg(*pg);
   // Eligible: full segments whose last observed SCL covers the read point
   // (the §3.1 bookkeeping: we know who has the last durable version).
@@ -441,7 +436,6 @@ void StorageDriver::ReadBlock(BlockId block, Lsn read_lsn, Lsn pgmrpl,
   auto state = std::make_shared<ReadState>();
   state->block = block;
   state->read_lsn = read_lsn;
-  state->pgmrpl = pgmrpl;
   state->pg = *pg;
   state->candidates = router_.Rank(std::move(eligible), rng_);
   state->cb = std::move(cb);
@@ -479,7 +473,6 @@ void StorageDriver::IssueRead(std::shared_ptr<ReadState> state,
       EpochVector{volume_epoch_, geometry_.Pg(state->pg).epoch()};
   request.block = state->block;
   request.read_lsn = state->read_lsn;
-  request.pgmrpl = state->pgmrpl;
   stats_.reads_issued++;
   AURORA_COUNT(m_reads_issued_, 1);
   state->outstanding++;

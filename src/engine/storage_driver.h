@@ -121,15 +121,19 @@ class StorageDriver {
   void SetAckObserver(std::function<void(SegmentId, bool)> cb) {
     ack_observer_ = std::move(cb);
   }
+  /// The writer's PGMRPL (§3.4), stamped on every write message so that
+  /// storage may fold redo below it. Without a source, writes carry none.
+  void SetPgmrplSource(std::function<Lsn()> source) {
+    pgmrpl_source_ = std::move(source);
+  }
 
   /// Submits a chained batch of records (one MTR or commit record). The
   /// records must carry already-allocated LSNs and PG assignments.
   void SubmitRecords(const std::vector<log::RedoRecord>& records);
 
   /// Reads the durable version of `block` at `read_lsn` from the best
-  /// eligible segment, hedging on slowness (§3.1). `pgmrpl` piggybacks
-  /// the instance's minimum read point.
-  void ReadBlock(BlockId block, Lsn read_lsn, Lsn pgmrpl, ReadCallback cb);
+  /// eligible segment, hedging on slowness (§3.1).
+  void ReadBlock(BlockId block, Lsn read_lsn, ReadCallback cb);
 
   /// Starts the retransmission sweep timer.
   void Start();
@@ -251,6 +255,7 @@ class StorageDriver {
   AdvanceCallback on_advance_;
   FencedCallback on_fenced_;
   std::function<void(SegmentId, bool)> ack_observer_;
+  std::function<Lsn()> pgmrpl_source_;
   /// PGs currently degraded (write quorum stalled) → when they entered.
   std::map<ProtectionGroupId, SimTime> degraded_since_;
   std::map<ProtectionGroupId, QuorumWatch> quorum_watch_;

@@ -199,13 +199,16 @@ bool SegmentHotLog::CorruptPayloadForTest(Lsn lsn) {
 }
 
 void SegmentHotLog::EvictBelow(Lsn lsn) {
-  // GC is a prefix pop — O(1) per record on the deque.
+  // GC is a prefix pop — O(1) per record on the deque. The floor is the
+  // last record evicted, not `lsn`: the caller's bound may be an LSN of
+  // another PG, and RewindScl re-anchors the chain walk at the floor, so
+  // it must be a point on this segment's chain.
   while (!records_.empty() && records_.front().lsn <= lsn) {
+    gc_floor_ = records_.front().lsn;
     total_bytes_ -= records_.front().SerializedSize();
     records_.pop_front();
     crcs_.pop_front();
   }
-  gc_floor_ = std::max(gc_floor_, lsn);
 }
 
 }  // namespace aurora::log

@@ -98,9 +98,11 @@ class SegmentHotLog {
     return truncations_;
   }
 
-  /// Drops records at or below `lsn` that have been coalesced and backed
-  /// up (GC, §2.1 activity 7). Chain completeness below SCL is preserved
-  /// logically by remembering the GC floor.
+  /// Drops records at or below `lsn` (which must be at or below SCL) that
+  /// have been coalesced and backed up (GC, §2.1 activity 7). Chain
+  /// completeness below SCL is preserved logically by remembering the GC
+  /// floor: the last evicted record, which is on the chain even when
+  /// `lsn` is not.
   void EvictBelow(Lsn lsn);
 
   /// Removes one record (scrub found it corrupt). SCL rewinds if the

@@ -128,7 +128,7 @@ void ReadReplica::WithPage(BlockId block,
   auto [it, inserted] = pending_fetches_.try_emplace(block);
   it->second.push_back(std::move(cb));
   if (!inserted) return;
-  driver_->ReadBlock(block, ClampToGroup(block, vdl_), MinReadPoint(),
+  driver_->ReadBlock(block, ClampToGroup(block, vdl_),
                      [this, block](Result<storage::Page> page) {
                        auto waiters = pending_fetches_.extract(block);
                        if (waiters.empty()) return;
@@ -386,7 +386,7 @@ void ReadReplica::ReadLeafFromStorage(
     return;
   }
   driver_->ReadBlock(
-      leaf, ClampToGroup(leaf, view.read_lsn()), MinReadPoint(),
+      leaf, ClampToGroup(leaf, view.read_lsn()),
       [this, key, view, cb = std::move(cb)](Result<storage::Page> page) {
         if (!page.ok()) {
           cb(page.status());

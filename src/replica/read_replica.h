@@ -131,7 +131,7 @@ class ReadReplica : public sim::NodeLifecycleListener {
   /// Opens a long-running read view pinned at the current VDL. Until
   /// UnpinView, it holds this replica's MinReadPoint — and therefore the
   /// fleet-wide PGMRPL at the writer — at or below the pin, stalling
-  /// version GC at the segments (§3.4). Returns 0 if the replica is not
+  /// the fold of redo at the segments (§3.4). Returns 0 if the replica is not
   /// ready.
   uint64_t PinView();
   void UnpinView(uint64_t handle);

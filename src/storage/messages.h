@@ -40,9 +40,13 @@ struct SegmentWrite {
 
 /// The redo one storage node receives from one write-buffer dispatch
 /// (§2.2 "individual write buffers for each storage node"): one part per
-/// hosted segment that had records buffered.
+/// hosted segment that had records buffered. `pgmrpl` is the writer's
+/// protection-group minimum read point as of sending (§3.4): no reader,
+/// on the writer or on any replica, reads below it. The writer is its
+/// only source. It fits in the envelope, so it adds no bytes.
 struct WriteRequest {
   std::vector<SegmentWrite> parts;
+  Lsn pgmrpl = kInvalidLsn;
 
   uint64_t SerializedSize() const {
     uint64_t bytes = kMessageOverheadBytes + ExtraPartBytes(parts.size());
@@ -77,14 +81,11 @@ struct WriteResponse {
 };
 
 /// Read of one materialized block version at or below `read_lsn` (§3.1).
-/// `pgmrpl` piggybacks the instance's minimum read point so the node can
-/// advance garbage collection (§3.4).
 struct ReadPageRequest {
   SegmentId segment = kInvalidSegment;
   EpochVector epochs;
   BlockId block = kInvalidBlock;
   Lsn read_lsn = kInvalidLsn;
-  Lsn pgmrpl = kInvalidLsn;
 
   uint64_t SerializedSize() const { return kMessageOverheadBytes; }
 };
@@ -232,8 +233,7 @@ struct HydrationRequest {
 struct HydrationResponse {
   Status status;
   std::vector<log::RedoRecord> records;
-  /// All retained materialized versions (full repair); versions of one
-  /// block are distinguished by page_lsn.
+  /// Every block materialized at the donor's SCL (full repair).
   std::vector<Page> pages;
   /// The donor's truncation history: a fresh segment must install these
   /// BEFORE absorbing records (from the donor or the archive), or it

@@ -33,12 +33,12 @@ namespace aurora::storage {
 
 /// Sorted key→value entry set with structurally-shared storage.
 ///
-/// The storage nodes retain many materialized versions of each block
-/// (MVCC reads, §3.1), and coalescing produces a new version per applied
-/// redo record. With a plain std::map every new version deep-copies every
-/// entry — measured at ~3/4 of the C7 write-path wall time. PageEntries
-/// keeps entries as refcounted immutable (key, value) pairs in a sorted
-/// vector: copying a page copies N pointers, and applying one PageOp
+/// A storage read above a block's folded page copies that page and applies
+/// the block's pending redo (MVCC reads, §3.1), and replicas and the
+/// writer's cache copy pages too. With a plain std::map every copy
+/// deep-copies every entry. PageEntries keeps entries as refcounted
+/// immutable (key, value) pairs in a sorted vector: copying a page copies
+/// N pointers, and applying one PageOp
 /// replaces exactly one pointer, so adjacent versions share all unchanged
 /// entries. The map-like read interface (find/at/contains/lower_bound/
 /// upper_bound/ordered iteration) is preserved so the B-tree and the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <set>
 
 #include "src/common/logging.h"
 #include "src/common/metrics.h"
@@ -111,42 +112,45 @@ Status SegmentStore::AbsorbGossip(const std::vector<log::RedoRecord>& records) {
 }
 
 size_t SegmentStore::CoalesceStep(size_t max_records) {
-  if (!info_.is_full) return 0;
+  if (!info_.is_full || pgmrpl_ == kInvalidLsn) return 0;
+  // Versions above PGMRPL stay pending: a read above the folded page
+  // applies them on demand, so only the fold point moves here.
+  const Lsn fold_to = std::min(hot_log_.scl(), pgmrpl_);
   size_t applied = 0;
-  const Lsn scl = hot_log_.scl();
   for (auto block_it = pending_redo_.begin();
        block_it != pending_redo_.end() && applied < max_records;) {
     auto& pending = block_it->second;
-    auto& block_versions = versions_[block_it->first];
+    if (pending.begin()->first > fold_to) {
+      ++block_it;
+      continue;
+    }
+    auto [page_it, fresh] = pages_.try_emplace(block_it->first);
+    Page& page = page_it->second;
+    if (fresh) page.id = block_it->first;
     while (!pending.empty() && applied < max_records) {
       const auto& [lsn, record] = *pending.begin();
-      if (lsn > scl) break;  // not yet chain-complete
-      const Page* latest =
-          block_versions.empty() ? nullptr : &block_versions.rbegin()->second;
-      const Lsn latest_lsn = latest ? latest->page_lsn : kInvalidLsn;
-      if (lsn <= latest_lsn) {
-        // Already applied via on-demand materialization or hydration.
+      if (lsn > fold_to) break;
+      if (lsn <= page.page_lsn) {
+        // Already reflected in a page absorbed from hydration.
         pending.erase(pending.begin());
         continue;
       }
-      if (record.prev_lsn_block != latest_lsn) {
-        // Hole in the block chain below this record (e.g. version state
+      if (record.prev_lsn_block != page.page_lsn) {
+        // Hole in the block chain below this record (e.g. page state
         // absorbed from hydration is ahead/behind); wait for gossip.
         break;
       }
-      Page next = latest ? *latest : Page{};
-      next.id = block_it->first;
-      const Status st = ApplyRedoPayload(&next, record.payload.view(), lsn);
+      const Status st = ApplyRedoPayload(&page, record.payload.view(), lsn);
       if (!st.ok()) {
         AURORA_ERROR << "segment " << info_.id << " coalesce failed: "
                      << st.ToString();
         break;
       }
-      block_versions.emplace(lsn, std::move(next));
       pending.erase(pending.begin());
       stats_.records_coalesced++;
       applied++;
     }
+    if (page.page_lsn == kInvalidLsn) pages_.erase(page_it);
     if (pending.empty()) {
       block_it = pending_redo_.erase(block_it);
     } else {
@@ -156,14 +160,26 @@ size_t SegmentStore::CoalesceStep(size_t max_records) {
   return applied;
 }
 
-const Page* SegmentStore::LatestVersionAtOrBelow(BlockId block,
-                                                 Lsn lsn) const {
-  auto it = versions_.find(block);
-  if (it == versions_.end() || it->second.empty()) return nullptr;
-  auto v = it->second.upper_bound(lsn);
-  if (v == it->second.begin()) return nullptr;
-  --v;
-  return &v->second;
+Status SegmentStore::Materialize(BlockId block, Lsn up_to,
+                                 Page* page) const {
+  if (auto folded = pages_.find(block); folded != pages_.end()) {
+    *page = folded->second;
+  } else {
+    *page = Page{};
+    page->id = block;
+  }
+  auto pending_it = pending_redo_.find(block);
+  if (pending_it == pending_redo_.end()) return Status::OK();
+  for (auto it = pending_it->second.upper_bound(page->page_lsn);
+       it != pending_it->second.end() && it->first <= up_to; ++it) {
+    const auto& record = it->second;
+    if (record.prev_lsn_block != page->page_lsn) {
+      return Status::Unavailable("block chain hole during materialization");
+    }
+    AURORA_RETURN_IF_ERROR(
+        ApplyRedoPayload(page, record.payload.view(), record.lsn));
+  }
+  return Status::OK();
 }
 
 Result<Page> SegmentStore::ReadPage(BlockId block, Lsn read_lsn) {
@@ -175,7 +191,20 @@ Result<Page> SegmentStore::ReadPage(BlockId block, Lsn read_lsn) {
     stats_.reads_rejected++;
     return Status::Unavailable("segment hydrating");
   }
-  if (pgmrpl_ != kInvalidLsn && read_lsn < pgmrpl_) {
+  // The one refusal rule (§3.4): the block's newest change at or below
+  // PGMRPL — folded or still pending — is the oldest version this segment
+  // promises. A read below it may need a version the fold has consumed;
+  // any read at or above it is answerable, even one below PGMRPL itself
+  // (a group-clamped read point can trail a PGMRPL that is another PG's
+  // LSN while the block has not changed in between).
+  Lsn oldest = FoldedLsn(block);
+  if (auto p = pending_redo_.find(block); p != pending_redo_.end()) {
+    auto above = p->second.upper_bound(pgmrpl_);
+    if (above != p->second.begin()) {
+      oldest = std::max(oldest, std::prev(above)->first);
+    }
+  }
+  if (read_lsn < oldest) {
     stats_.reads_rejected++;
     return Status::OutOfRange("read below PGMRPL");
   }
@@ -183,38 +212,14 @@ Result<Page> SegmentStore::ReadPage(BlockId block, Lsn read_lsn) {
     stats_.reads_rejected++;
     return Status::Unavailable("read above SCL");
   }
-  const Page* base = LatestVersionAtOrBelow(block, read_lsn);
-  // Collect pending redo in (base_lsn, read_lsn] for on-demand
-  // materialization along the block chain (§2.2).
-  const Lsn base_lsn = base ? base->page_lsn : kInvalidLsn;
   Page page;
-  if (base != nullptr) {
-    page = *base;
-  } else {
-    page.id = block;
+  if (Status st = Materialize(block, read_lsn, &page); !st.ok()) {
+    stats_.reads_rejected++;
+    return st;
   }
-  auto pending_it = pending_redo_.find(block);
-  bool applied_any = false;
-  if (pending_it != pending_redo_.end()) {
-    for (auto it = pending_it->second.upper_bound(base_lsn);
-         it != pending_it->second.end() && it->first <= read_lsn; ++it) {
-      const auto& record = it->second;
-      if (record.prev_lsn_block != page.page_lsn) {
-        stats_.reads_rejected++;
-        return Status::Unavailable("block chain hole during materialization");
-      }
-      AURORA_RETURN_IF_ERROR(ApplyRedoPayload(&page, record.payload.view(),
-                                              record.lsn));
-      applied_any = true;
-    }
-  }
-  if (base == nullptr && !applied_any) {
+  if (page.page_lsn == kInvalidLsn) {
     stats_.reads_rejected++;
     return Status::NotFound("block has no data at or below read point");
-  }
-  if (applied_any) {
-    // Keep the on-demand result (background coalesce will skip past it).
-    versions_[block].emplace(page.page_lsn, page);
   }
   stats_.reads_served++;
   AURORA_COUNT(M().reads_served, 1);
@@ -242,8 +247,7 @@ std::vector<log::RedoRecord> SegmentStore::PendingBackup(
 }
 
 size_t SegmentStore::GarbageCollect() {
-  size_t removed = 0;
-  // Hot-log eviction: records must be backed up AND (coalesced, for full
+  // Hot-log eviction: records must be backed up AND (folded, for full
   // segments). The eviction point is a prefix.
   Lsn evict_to = std::min(backup_lsn_, hot_log_.scl());
   if (info_.is_full) {
@@ -253,25 +257,11 @@ size_t SegmentStore::GarbageCollect() {
       }
     }
   }
-  if (evict_to != kInvalidLsn && evict_to > hot_log_.gc_floor()) {
-    const size_t before = hot_log_.RecordCount();
-    hot_log_.EvictBelow(evict_to);
-    removed += before - hot_log_.RecordCount();
-    stats_.records_gced += before - hot_log_.RecordCount();
-  }
-  // Version GC: older versions are reclaimed only once no reader (writer
-  // instance or replica) can need them (§3.4): keep everything above
-  // PGMRPL plus the newest version at or below it.
-  if (pgmrpl_ != kInvalidLsn) {
-    for (auto& [block, block_versions] : versions_) {
-      auto keep = block_versions.upper_bound(pgmrpl_);
-      if (keep != block_versions.begin()) --keep;
-      const size_t before = block_versions.size();
-      block_versions.erase(block_versions.begin(), keep);
-      removed += before - block_versions.size();
-      stats_.versions_gced += before - block_versions.size();
-    }
-  }
+  if (evict_to == kInvalidLsn || evict_to <= hot_log_.gc_floor()) return 0;
+  const size_t before = hot_log_.RecordCount();
+  hot_log_.EvictBelow(evict_to);
+  const size_t removed = before - hot_log_.RecordCount();
+  stats_.records_gced += removed;
   return removed;
 }
 
@@ -322,19 +312,20 @@ Status SegmentStore::UpdateVolumeEpoch(
   if (request.truncation.has_value()) {
     const auto& range = *request.truncation;
     hot_log_.Truncate(range);
-    // Drop pending redo and materialized versions inside the annulled
-    // range (§2.4: in-flight writes completing during recovery must be
-    // ignored; versions built from annulled records are invalid).
+    // Drop pending redo and folded pages inside the annulled range (§2.4:
+    // in-flight writes completing during recovery must be ignored; a page
+    // built from annulled records is invalid). Folding stops at PGMRPL,
+    // which is never above a durable point, so only a page absorbed from
+    // a hydration donor can reach into the range.
     for (auto it = pending_redo_.begin(); it != pending_redo_.end();) {
       auto& pending = it->second;
       pending.erase(pending.lower_bound(range.start),
                     pending.upper_bound(range.end));
       it = pending.empty() ? pending_redo_.erase(it) : std::next(it);
     }
-    for (auto& [block, block_versions] : versions_) {
-      block_versions.erase(block_versions.lower_bound(range.start),
-                           block_versions.end());
-    }
+    std::erase_if(pages_, [&](const auto& entry) {
+      return entry.second.page_lsn >= range.start;
+    });
   }
   return Status::OK();
 }
@@ -359,13 +350,14 @@ Status SegmentStore::AbsorbHydration(const HydrationResponse& response) {
   }
   AURORA_RETURN_IF_ERROR(AbsorbGossip(response.records));
   for (const auto& page : response.pages) {
-    auto& block_versions = versions_[page.id];
-    block_versions.emplace(page.page_lsn, page);
-    // Pending redo at or below the absorbed version is already reflected.
+    auto [it, fresh] = pages_.try_emplace(page.id, page);
+    if (!fresh && it->second.page_lsn < page.page_lsn) it->second = page;
+    // Pending redo at or below the absorbed page is already reflected.
     auto pending_it = pending_redo_.find(page.id);
     if (pending_it != pending_redo_.end()) {
       auto& pending = pending_it->second;
-      pending.erase(pending.begin(), pending.upper_bound(page.page_lsn));
+      pending.erase(pending.begin(),
+                    pending.upper_bound(it->second.page_lsn));
       if (pending.empty()) pending_redo_.erase(pending_it);
     }
   }
@@ -381,11 +373,16 @@ HydrationResponse SegmentStore::BuildHydration(
   constexpr size_t kMaxRecords = 4096;
   response.records = hot_log_.RecordsAbove(request.have_scl, kMaxRecords);
   if (request.need_blocks && info_.is_full) {
-    for (const auto& [block, block_versions] : versions_) {
-      if (block_versions.empty()) continue;
-      // The newest version is sufficient for repair; history below PGMRPL
-      // is not needed by any reader.
-      response.pages.push_back(block_versions.rbegin()->second);
+    // Every block, folded or still only pending, materialized at SCL: the
+    // newest version is sufficient for repair. A chain hole stops a block
+    // early; gossip fills the rest.
+    std::set<BlockId> blocks;
+    for (const auto& [block, page] : pages_) blocks.insert(block);
+    for (const auto& [block, pending] : pending_redo_) blocks.insert(block);
+    for (BlockId block : blocks) {
+      Page page;
+      (void)Materialize(block, hot_log_.scl(), &page);
+      if (page.page_lsn != kInvalidLsn) response.pages.push_back(page);
     }
   }
   return response;
@@ -401,8 +398,7 @@ void SegmentStore::ResetToArchive(const std::vector<log::RedoRecord>& records,
   hot_log_ = log::SegmentHotLog();
   for (const auto& range : annulled) hot_log_.Truncate(range);
   pending_redo_.clear();
-  versions_.clear();
-  coalesce_cursor_ = kInvalidLsn;
+  pages_.clear();
   pgmrpl_ = kInvalidLsn;
   backup_lsn_ = kInvalidLsn;
   hydrated_ = true;
@@ -432,16 +428,14 @@ bool SegmentStore::CorruptRecordForTest(Lsn lsn) {
   return hot_log_.CorruptPayloadForTest(lsn);
 }
 
-size_t SegmentStore::VersionCount(BlockId block) const {
-  auto it = versions_.find(block);
-  return it == versions_.end() ? 0 : it->second.size();
+Lsn SegmentStore::FoldedLsn(BlockId block) const {
+  auto it = pages_.find(block);
+  return it == pages_.end() ? kInvalidLsn : it->second.page_lsn;
 }
 
-uint64_t SegmentStore::TotalVersionBytes() const {
+uint64_t SegmentStore::PageBytes() const {
   uint64_t bytes = 0;
-  for (const auto& [block, block_versions] : versions_) {
-    for (const auto& [lsn, page] : block_versions) bytes += page.SizeBytes();
-  }
+  for (const auto& [block, page] : pages_) bytes += page.SizeBytes();
   return bytes;
 }
 

@@ -1,13 +1,14 @@
-// Per-segment state held by a storage node: hot log, materialized block
-// versions, epochs, hydration and scrub state.
+// Per-segment state held by a storage node: hot log, one folded page per
+// block, epochs, hydration and scrub state.
 //
 // This implements the storage half of the paper's protocol:
 //  * idempotent redo appends with SCL tracking (§2.3) — storage nodes "do
 //    not have a vote in determining whether to accept a write, they must
 //    do so";
 //  * on-demand block materialization along the block chain (§2.2);
-//  * out-of-place, non-destructive block versions retained until PGMRPL
-//    advances (§3.4);
+//  * one materialized page per block, folded in place only up to the
+//    writer-published PGMRPL (§3.4): every version a reader may still ask
+//    for is the folded page plus the block's pending redo;
 //  * epoch validation for volume and membership fencing (§2.4, §4.1);
 //  * truncation-range enforcement so in-flight writes from before a crash
 //    are annulled (§2.4);
@@ -43,7 +44,6 @@ struct SegmentStats {
   uint64_t reads_rejected = 0;
   uint64_t stale_epoch_rejections = 0;
   uint64_t scrub_corruptions_found = 0;
-  uint64_t versions_gced = 0;
 };
 
 /// One segment replica. All methods are local (the owning StorageNode
@@ -89,18 +89,23 @@ class SegmentStore {
     return hot_log_.ChainAfter(peer_scl, max_records);
   }
 
-  /// Applies up to `max_records` chain-complete records (<= SCL) to block
-  /// versions (§2.1 activity 5). No-op for tail segments. Returns records
-  /// applied.
+  /// Folds up to `max_records` pending records at or below min(SCL,
+  /// PGMRPL) into their blocks' pages, in place (§2.1 activity 5, §3.4).
+  /// No reader can ask for a version below PGMRPL, so no older version is
+  /// kept. Does nothing until a PGMRPL is known, and on tail segments.
+  /// Returns records applied.
   size_t CoalesceStep(size_t max_records);
 
-  /// Serves a block version at or below `read_lsn`, materializing
-  /// on-demand from the newest coalesced version plus hot-log records
-  /// (§2.2). Only full segments serve pages. The node only accepts reads
-  /// between PGMRPL and SCL (§3.4).
+  /// Serves the block as of `read_lsn`: the folded page plus the block's
+  /// pending redo up to `read_lsn`, applied on demand along the block
+  /// chain (§2.2). Only full segments serve pages. A read at or below SCL
+  /// is refused only if it is below the block's newest change at or
+  /// below PGMRPL — the one version this segment can no longer rebuild
+  /// (§3.4).
   Result<Page> ReadPage(BlockId block, Lsn read_lsn);
 
-  /// Observes the instance's minimum read point (§3.4); unlocks GC below.
+  /// Observes the writer-published minimum read point (§3.4), carried on
+  /// every write message; unlocks folding below it. Keeps the maximum.
   void ObservePgmrpl(Lsn pgmrpl);
   Lsn pgmrpl() const { return pgmrpl_; }
 
@@ -112,8 +117,7 @@ class SegmentStore {
   std::vector<log::RedoRecord> PendingBackup(size_t max_records) const;
 
   /// Garbage collection (§2.1 activity 7): evicts hot-log records that are
-  /// coalesced (full) or backed up, and block versions older than PGMRPL
-  /// (keeping the newest version at or below it). Returns items removed.
+  /// backed up and, on full segments, folded. Returns records removed.
   size_t GarbageCollect();
 
   /// Scrub (§2.1 activity 8): re-verifies stored record checksums in one
@@ -133,7 +137,8 @@ class SegmentStore {
   void BeginHydration(Lsn target_scl);
   Status AbsorbHydration(const HydrationResponse& response);
 
-  /// Builds a hydration reply for a peer (donor side).
+  /// Builds a hydration reply for a peer (donor side). A full-segment
+  /// repair gets every block materialized at this segment's SCL.
   HydrationResponse BuildHydration(const HydrationRequest& request) const;
 
   /// Point-in-time restore (§2.1 activity 6): discards ALL local state and
@@ -147,17 +152,20 @@ class SegmentStore {
   /// finds it.
   bool CorruptRecordForTest(Lsn lsn);
 
-  /// Test/inspection: number of retained versions for a block.
-  size_t VersionCount(BlockId block) const;
-  uint64_t TotalVersionBytes() const;
+  /// Inspection: the LSN a block's page is folded to (kInvalidLsn if it
+  /// has none), the bytes of all folded pages, and the pending redo.
+  Lsn FoldedLsn(BlockId block) const;
+  uint64_t PageBytes() const;
   uint64_t HotLogBytes() const { return hot_log_.TotalBytes(); }
-  Lsn coalesce_cursor() const { return coalesce_cursor_; }
   size_t PendingRedoCount() const;
 
  private:
   void IndexRecord(const log::RedoRecord& record);
   void MaybeFinishHydration();
-  const Page* LatestVersionAtOrBelow(BlockId block, Lsn lsn) const;
+  /// Sets `page` to `block` as of `up_to`: its folded page (or an empty
+  /// one) plus its pending redo up to `up_to`, applied along the block
+  /// chain. Stops with Unavailable at a chain hole, leaving what it built.
+  Status Materialize(BlockId block, Lsn up_to, Page* page) const;
 
   quorum::SegmentInfo info_;
   ProtectionGroupId pg_;
@@ -169,12 +177,11 @@ class SegmentStore {
   // Keeps each record's checksum, taken on arrival, beside the record;
   // Scrub() re-verifies.
   log::SegmentHotLog hot_log_;
-  // Per-block pending (un-coalesced) redo, in LSN order.
+  // Per-block pending (not yet folded) redo, in LSN order.
   std::map<BlockId, std::map<Lsn, log::RedoRecord>> pending_redo_;
-  // Out-of-place materialized versions per block, keyed by page_lsn.
-  std::map<BlockId, std::map<Lsn, Page>> versions_;
+  // One page per block, folded in place up to PGMRPL.
+  std::map<BlockId, Page> pages_;
 
-  Lsn coalesce_cursor_ = kInvalidLsn;  // all records <= this are coalesced
   Lsn pgmrpl_ = kInvalidLsn;
   Lsn backup_lsn_ = kInvalidLsn;
 

@@ -144,6 +144,8 @@ void StorageNode::HandleWrite(const WriteRequest& request,
                     segment->hydrated()});
       continue;
     }
+    // Only a writer at current epochs may move the fold point (§3.4).
+    segment->ObservePgmrpl(request.pgmrpl);
     if (options_.fair_scheduler) {
       // Multi-tenant QoS: the part joins its tenant's queue and the DRR
       // scheduler decides when it reaches the disk (DESIGN.md §11).
@@ -338,9 +340,6 @@ void StorageNode::HandleReadPage(const ReadPageRequest& request,
     // the authoritative one.
     reply(ReadPageResponse{Status::Unavailable("segment hydrating"), {}});
     return;
-  }
-  if (request.pgmrpl != kInvalidLsn) {
-    segment->ObservePgmrpl(request.pgmrpl);
   }
   disk_.SubmitRead(4096, [this, request, reply = std::move(reply)]() mutable {
     if (!IsUp()) return;

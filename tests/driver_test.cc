@@ -172,7 +172,7 @@ TEST(StorageDriver, RoutedReadServesMaterializedBlock) {
   f.driver->SubmitRecords({f.Record(1, /*block=*/7)});
   f.sim.RunFor(50 * kMillisecond);
   bool done = false;
-  f.driver->ReadBlock(7, 1, kInvalidLsn, [&](Result<storage::Page> page) {
+  f.driver->ReadBlock(7, 1, [&](Result<storage::Page> page) {
     ASSERT_TRUE(page.ok()) << page.status().ToString();
     EXPECT_EQ(page->id, 7u);
     EXPECT_EQ(page->page_lsn, 1u);
@@ -199,7 +199,7 @@ TEST(StorageDriver, HedgedReadCapsSlowSegmentLatency) {
   bool done = false;
   SimTime start = f.sim.Now();
   SimDuration elapsed = 0;
-  f.driver->ReadBlock(7, 1, kInvalidLsn, [&](Result<storage::Page> page) {
+  f.driver->ReadBlock(7, 1, [&](Result<storage::Page> page) {
     ASSERT_TRUE(page.ok());
     elapsed = f.sim.Now() - start;
     done = true;
@@ -231,7 +231,7 @@ TEST(StorageDriver, HedgeFiresExactlyOnceAndMetricsAgree) {
   f.network->SetNodeSlowdown(100, 400.0);
   const uint64_t hedges_before = f.driver->router().hedged_reads();
   bool done = false;
-  f.driver->ReadBlock(7, 1, kInvalidLsn, [&](Result<storage::Page> page) {
+  f.driver->ReadBlock(7, 1, [&](Result<storage::Page> page) {
     ASSERT_TRUE(page.ok()) << page.status().ToString();
     done = true;
   });
@@ -258,7 +258,7 @@ TEST(StorageDriver, ReadFailsCleanlyWhenAllSegmentsDown) {
   f.sim.RunFor(50 * kMillisecond);
   for (int i = 0; i < 6; ++i) f.network->Crash(100 + i);
   bool done = false;
-  f.driver->ReadBlock(7, 1, kInvalidLsn, [&](Result<storage::Page> page) {
+  f.driver->ReadBlock(7, 1, [&](Result<storage::Page> page) {
     EXPECT_FALSE(page.ok());
     done = true;
   });

@@ -8,16 +8,19 @@
 // replication-stream gap where cached replica pages are silently stale,
 // a writer failover, and a randomized chaos mix — the session must
 // never observe a state older than its own last write. Also covers the
-// PGMRPL side: long-running pinned replica views must hold version GC
-// back fleet-wide until released.
+// PGMRPL side: the writer stamps it on every write message, long-running
+// pinned replica views must hold the storage fold back fleet-wide until
+// released, and a promoted writer must respect them from its first write.
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
 #include "src/common/random.h"
 #include "src/core/cluster.h"
+#include "src/core/invariant_auditor.h"
 #include "src/core/session.h"
 
 namespace aurora {
@@ -236,8 +239,8 @@ TEST(SessionConsistency, ReadYourWritesUnderChaos) {
 }
 
 // PGMRPL pressure (§3.4): a long-running pinned replica view holds the
-// fleet-wide minimum read point — and with it version GC at the
-// segments — until unpinned.
+// fleet-wide minimum read point — and with it the fold of the block's redo
+// at the segments — until unpinned.
 TEST(SessionConsistency, PinnedViewStallsVersionGc) {
   core::AuroraCluster cluster(Options());
   ASSERT_TRUE(cluster.StartBlocking().ok());
@@ -245,6 +248,9 @@ TEST(SessionConsistency, PinnedViewStallsVersionGc) {
   cluster.RunFor(200 * kMillisecond);
   ASSERT_TRUE(cluster.PutBlocking("hot", "v0").ok());
   cluster.RunFor(300 * kMillisecond);
+  auto path = cluster.writer()->btree()->FindPathSync("hot");
+  ASSERT_TRUE(path.ok()) << path.status().ToString();
+  const BlockId hot_block = path->back();
 
   const uint64_t pin = rep->PinView();
   ASSERT_NE(pin, 0u);
@@ -259,13 +265,21 @@ TEST(SessionConsistency, PinnedViewStallsVersionGc) {
 
   // The pinned view caps the fleet PGMRPL at the pin anchor.
   EXPECT_LE(cluster.writer()->ComputePgmrpl(), pin_anchor);
-  // And no segment may have learned a PGMRPL above it.
+  // And no segment may have learned a PGMRPL above it, or folded the
+  // block past it.
+  size_t full_segments = 0;
   cluster.ForEachSegment([&](storage::StorageNode*,
                              storage::SegmentStore* segment) {
     if (segment->pgmrpl() != kInvalidLsn) {
       EXPECT_LE(segment->pgmrpl(), pin_anchor);
     }
+    if (!segment->is_full()) return;
+    full_segments++;
+    EXPECT_LE(segment->FoldedLsn(hot_block), pin_anchor)
+        << "segment " << segment->id() << " folded past a pinned view";
+    EXPECT_GT(segment->PendingRedoCount(), 0u);
   });
+  ASSERT_GT(full_segments, 0u);
 
   rep->UnpinView(pin);
   EXPECT_EQ(rep->pinned_view_count(), 0u);
@@ -275,28 +289,118 @@ TEST(SessionConsistency, PinnedViewStallsVersionGc) {
   }
   cluster.RunFor(500 * kMillisecond);
   EXPECT_GT(cluster.writer()->ComputePgmrpl(), pin_anchor);
-
-  // Drive reads so storage learns the released read point, then GC.
-  for (int i = 0; i < 5; ++i) {
-    auto v = cluster.GetBlocking("hot");
-    ASSERT_TRUE(v.ok());
+  // The released read point rides the next writes to storage, and the
+  // fold of the churned block passes the old pin.
+  for (int i = 41; i <= 45; ++i) {
+    ASSERT_TRUE(cluster.PutBlocking("hot", "v" + std::to_string(i)).ok());
   }
+  cluster.RunFor(500 * kMillisecond);
+  cluster.ForEachSegment([&](storage::StorageNode*,
+                             storage::SegmentStore* segment) {
+    if (!segment->is_full()) return;
+    EXPECT_GT(segment->pgmrpl(), pin_anchor);
+    EXPECT_GT(segment->FoldedLsn(hot_block), pin_anchor)
+        << "segment " << segment->id() << " did not fold past the pin";
+  });
   bool done = false;
   rep->Get("hot", [&](Result<std::string> r) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     done = true;
   });
   ASSERT_TRUE(cluster.RunUntil([&]() { return done; }));
-  uint64_t gced = 0;
-  for (auto& node : cluster.storage_nodes()) {
-    node->RunGcOnce();
+}
+
+// A promoted writer counts every attached replica's read point from its
+// first write, not from the replica's first report: the PGMRPL it ships
+// never passes a replica view, so storage can still serve a view pinned
+// before the failover.
+TEST(SessionConsistency, FailoverKeepsPgmrplAtOrBelowReplicaViews) {
+  core::AuroraCluster cluster(Options());
+  ASSERT_TRUE(cluster.StartBlocking().ok());
+  auto* rep = cluster.AddReplica();
+  cluster.RunFor(200 * kMillisecond);
+  ASSERT_TRUE(cluster.PutBlocking("hot", "v0").ok());
+  cluster.RunFor(300 * kMillisecond);
+  auto path = cluster.writer()->btree()->FindPathSync("hot");
+  ASSERT_TRUE(path.ok()) << path.status().ToString();
+  const BlockId hot_block = path->back();
+  const uint64_t pin = rep->PinView();
+  ASSERT_NE(pin, 0u);
+  const Lsn pin_anchor = rep->MinReadPoint();
+  for (int i = 1; i <= 10; ++i) {
+    ASSERT_TRUE(cluster.PutBlocking("hot", "v" + std::to_string(i)).ok());
   }
+  ASSERT_TRUE(cluster.FailoverBlocking().ok());
+  core::InvariantAuditor auditor(&cluster);
+  auditor.Attach(1);
+  // Write at once, well inside the replica's first report interval.
+  for (int i = 11; i <= 30; ++i) {
+    ASSERT_TRUE(cluster.PutBlocking("hot", "v" + std::to_string(i)).ok());
+  }
+  cluster.RunFor(300 * kMillisecond);
+  size_t full_segments = 0;
   cluster.ForEachSegment([&](storage::StorageNode*,
                              storage::SegmentStore* segment) {
-    gced += segment->stats().versions_gced;
+    EXPECT_LE(segment->pgmrpl(), pin_anchor);
+    if (!segment->is_full()) return;
+    full_segments++;
+    // The pinned view is still answerable at every full segment.
+    auto page = segment->ReadPage(hot_block, pin_anchor);
+    EXPECT_NE(page.status().code(), StatusCode::kOutOfRange)
+        << "segment " << segment->id() << ": " << page.status().ToString();
   });
-  EXPECT_GT(gced, 0u) << "version churn above the released read point "
-                         "should be collectable";
+  EXPECT_GT(full_segments, 0u);
+  for (int i = 0; i < 5; ++i) {
+    bool done = false;
+    rep->Get("hot", [&](Result<std::string> r) {
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      done = true;
+    });
+    ASSERT_TRUE(cluster.RunUntil([&]() { return done; }));
+  }
+  auditor.CheckNow();
+  EXPECT_TRUE(auditor.ok()) << auditor.Report();
+  rep->UnpinView(pin);
+}
+
+// With writes alone — no storage page reads — every full segment learns
+// PGMRPL from the write stream and folds behind it, so pending redo stays
+// bounded instead of growing with the run, and no segment's PGMRPL ever
+// passes a read view.
+TEST(Pgmrpl, WriteOnlyClusterFoldsBehindWriterPgmrpl) {
+  core::AuroraOptions options;
+  options.seed = 91;
+  options.num_pgs = 2;
+  core::AuroraCluster cluster(options);
+  ASSERT_TRUE(cluster.StartBlocking().ok());
+  ASSERT_NE(cluster.AddReplica(), nullptr);
+  core::InvariantAuditor auditor(&cluster);
+  auditor.Attach(4);
+  std::map<SegmentId, uint64_t> received_before;
+  int key = 0;
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 150; ++i, ++key) {
+      ASSERT_TRUE(
+          cluster.PutBlocking("key" + std::to_string(key), "value").ok());
+    }
+    cluster.RunFor(200 * kMillisecond);
+    SCOPED_TRACE("round " + std::to_string(round));
+    cluster.ForEachSegment([&](storage::StorageNode*,
+                               storage::SegmentStore* segment) {
+      const uint64_t received = segment->stats().records_received;
+      const uint64_t this_round = received - received_before[segment->id()];
+      received_before[segment->id()] = received;
+      if (!segment->is_full()) return;
+      EXPECT_NE(segment->pgmrpl(), kInvalidLsn)
+          << "segment " << segment->id() << " never learned a PGMRPL";
+      // Pending redo is what arrived since the last PGMRPL the writer
+      // shipped: less than one round's worth, in every round.
+      EXPECT_LT(segment->PendingRedoCount(), this_round)
+          << "segment " << segment->id();
+    });
+  }
+  auditor.CheckNow();
+  EXPECT_TRUE(auditor.ok()) << auditor.Report();
 }
 
 }  // namespace

@@ -186,11 +186,24 @@ TEST(SegmentStore, CoalesceMaterializesVersions) {
                             DataRecord(2, 1, 7, 1, InsertOp("a", "1")),
                             DataRecord(3, 2, 7, 2, InsertOp("b", "2"))})
                   .ok());
-  EXPECT_EQ(store.CoalesceStep(100), 3u);
-  EXPECT_EQ(store.VersionCount(7), 3u);  // out-of-place: one per record
+  // No reader's minimum is known yet, so nothing may be folded away.
+  EXPECT_EQ(store.CoalesceStep(100), 0u);
+  EXPECT_EQ(store.FoldedLsn(7), kInvalidLsn);
   auto page = store.ReadPage(7, 3);
   ASSERT_TRUE(page.ok());
   EXPECT_EQ(page->entries.size(), 2u);
+  // PGMRPL 2: records 1 and 2 fold into the block's one page, in place.
+  store.ObservePgmrpl(2);
+  EXPECT_EQ(store.CoalesceStep(100), 2u);
+  EXPECT_EQ(store.FoldedLsn(7), 2u);
+  EXPECT_EQ(store.PendingRedoCount(), 1u);
+  page = store.ReadPage(7, 3);
+  ASSERT_TRUE(page.ok());
+  EXPECT_EQ(page->entries.size(), 2u);
+  page = store.ReadPage(7, 2);
+  ASSERT_TRUE(page.ok());
+  EXPECT_EQ(page->entries.size(), 1u);
+  EXPECT_EQ(store.ReadPage(7, 1).status().code(), StatusCode::kOutOfRange);
 }
 
 TEST(SegmentStore, OnDemandMaterializationWithoutCoalesce) {
@@ -235,6 +248,34 @@ TEST(SegmentStore, ReadBelowPgmrplRejected) {
   EXPECT_EQ(store.ReadPage(7, 1).status().code(), StatusCode::kOutOfRange);
 }
 
+// PGMRPL is a global LSN; a read point clamped to the block's group may
+// sit below it. The node refuses only reads below the block's newest
+// change at or below PGMRPL, whether that change is folded or pending.
+TEST(SegmentStore, ReadBelowPgmrplServedIfBlockUnchangedSince) {
+  auto store = MakeStore();
+  ASSERT_TRUE(store.Append({DataRecord(95, 0, 7, 0, FormatOp()),
+                            DataRecord(97, 95, 7, 95, InsertOp("a", "1")),
+                            DataRecord(99, 97, 8, 0, FormatOp()),
+                            DataRecord(101, 99, 7, 97, InsertOp("b", "2"))})
+                  .ok());
+  store.ObservePgmrpl(100);
+  for (const bool folded : {false, true}) {
+    SCOPED_TRACE(folded ? "folded" : "pending");
+    if (folded) {
+      EXPECT_EQ(store.CoalesceStep(100), 3u);
+      EXPECT_EQ(store.FoldedLsn(7), 97u);
+    }
+    auto page = store.ReadPage(7, 97);
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    EXPECT_EQ(page->page_lsn, 97u);
+    EXPECT_EQ(page->entries.size(), 1u);
+    EXPECT_EQ(store.ReadPage(7, 95).status().code(), StatusCode::kOutOfRange);
+    page = store.ReadPage(7, 101);
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    EXPECT_EQ(page->entries.size(), 2u);
+  }
+}
+
 TEST(SegmentStore, TailSegmentServesNoPages) {
   auto store = MakeStore(/*is_full=*/false);
   ASSERT_TRUE(store.Append({DataRecord(1, 0, 7, 0, FormatOp())}).ok());
@@ -252,6 +293,7 @@ TEST(SegmentStore, GcRequiresBackupAndCoalesce) {
                             DataRecord(2, 1, 7, 1, InsertOp("a", "1"))})
                   .ok());
   EXPECT_EQ(store.GarbageCollect(), 0u) << "nothing backed up yet";
+  store.ObservePgmrpl(2);
   store.CoalesceStep(100);
   store.MarkBackedUp(2);
   EXPECT_GT(store.GarbageCollect(), 0u);
@@ -267,15 +309,20 @@ TEST(SegmentStore, VersionGcKeepsNewestAtOrBelowPgmrpl) {
                             DataRecord(3, 2, 7, 2, InsertOp("k", "v2")),
                             DataRecord(4, 3, 7, 3, InsertOp("k", "v3"))})
                   .ok());
-  store.CoalesceStep(100);
-  EXPECT_EQ(store.VersionCount(7), 4u);
   store.ObservePgmrpl(3);
+  store.CoalesceStep(100);
   store.GarbageCollect();
-  // Versions 1,2 collected; version 3 (newest <= PGMRPL) and 4 retained.
-  EXPECT_EQ(store.VersionCount(7), 2u);
+  // Records 1-3 folded into one page at 3 (the newest <= PGMRPL); record 4
+  // stays pending above it.
+  EXPECT_EQ(store.FoldedLsn(7), 3u);
+  EXPECT_EQ(store.PendingRedoCount(), 1u);
   auto page = store.ReadPage(7, 3);
   ASSERT_TRUE(page.ok());
   EXPECT_EQ(page->entries.at("k"), "v2");
+  page = store.ReadPage(7, 4);
+  ASSERT_TRUE(page.ok());
+  EXPECT_EQ(page->entries.at("k"), "v3");
+  EXPECT_EQ(store.ReadPage(7, 2).status().code(), StatusCode::kOutOfRange);
 }
 
 TEST(SegmentStore, PendingBackupOnlyChainComplete) {
@@ -312,6 +359,7 @@ TEST(SegmentStore, TruncationDropsAnnulledVersions) {
                             DataRecord(2, 1, 7, 1, InsertOp("k", "v1")),
                             DataRecord(3, 2, 7, 2, InsertOp("k", "dead"))})
                   .ok());
+  store.ObservePgmrpl(2);  // version 2 folded, version 3 still pending
   store.CoalesceStep(100);
   VolumeEpochUpdateRequest request;
   request.segment = 0;
