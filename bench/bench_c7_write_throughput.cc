@@ -356,11 +356,12 @@ int main(int argc, char** argv) {
   table.Row({"hedge rate", Num(result.HedgeRate(), 4), ""});
   table.Print();
   // The quick run is deterministic (seed 4242), so its resend share is a
-  // fixed number: 1,232 of 48,072 record copies. The retry sweep is not
+  // fixed number: 632 of 28,692 record copies. The retry sweep is not
   // age-aware: every 50 ms it resends each copy not yet acked, in flight
   // or not, so the share mostly counts the ticks that land inside a large
-  // (page-split) transaction. A change that resends more must say why.
-  constexpr double kQuickMaxRetransmitFrac = 1232.0 / 48072.0;
+  // (page-split) transaction; a split's new page is one format record, so
+  // those transactions are short. A change that resends more must say why.
+  constexpr double kQuickMaxRetransmitFrac = 632.0 / 28692.0;
   if (quick && read_ratio == 0 &&
       result.RetransmitFrac() > kQuickMaxRetransmitFrac) {
     std::fprintf(stderr,

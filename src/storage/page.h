@@ -216,7 +216,8 @@ struct Page {
 
 /// The kinds of physical page changes carried in redo payloads.
 enum class PageOpType : uint8_t {
-  /// (Re)formats the page with a type/level; clears entries.
+  /// (Re)formats the page: sets type, level and sibling links, and replaces
+  /// the entries with the op's initial entries (none: an empty page).
   kFormat = 0,
   /// Upserts one entry.
   kInsert = 1,
@@ -230,15 +231,19 @@ enum class PageOpType : uint8_t {
 
 /// A single physical operation on one page. Encoded into
 /// RedoRecord::payload; applied identically by storage nodes, the writer's
-/// cache, and replica caches.
+/// cache, and replica caches. Each op type encodes only the fields its
+/// replay reads; the others decode to their defaults.
 struct PageOp {
   PageOpType type = PageOpType::kInsert;
   PageType page_type = PageType::kLeaf;  // kFormat
   uint16_t level = 0;                    // kFormat
   std::string key;                       // kInsert/kErase/kTruncateFrom
   std::string value;                     // kInsert
-  BlockId next = kInvalidBlock;          // kSetLinks
-  BlockId prev = kInvalidBlock;          // kSetLinks
+  BlockId next = kInvalidBlock;          // kFormat/kSetLinks
+  BlockId prev = kInvalidBlock;          // kFormat/kSetLinks
+  /// kFormat: the new page's initial entries, in ascending key order (a
+  /// split's new page is one record, not one insert per moved entry).
+  std::vector<PageEntries::Entry> entries;
 
   bool operator==(const PageOp&) const = default;
 };

@@ -65,18 +65,88 @@ PageOp InsertOp(std::string key, std::string value) {
 // ---------------------------------------------------------------------- //
 // Page ops
 
-TEST(PageOps, CodecRoundTrip) {
+// Each op type encodes only the fields its replay reads: a round trip
+// returns those exactly, and every field the type does not carry decodes
+// to its default — even when the encoded op had it set.
+PageOp RoundTrip(const PageOp& op) {
+  auto decoded = DecodePageOp(EncodePageOp(op));
+  EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+  return decoded.ok() ? *decoded : PageOp{};
+}
+
+/// An op of `type` with every field set to a non-default value.
+PageOp AllFieldsSet(PageOpType type) {
   PageOp op;
-  op.type = PageOpType::kSetLinks;
+  op.type = type;
   op.page_type = PageType::kInternal;
   op.level = 3;
   op.key = "piv";
   op.value = std::string("\x00\x01", 2);
   op.next = 42;
   op.prev = 41;
-  auto decoded = DecodePageOp(EncodePageOp(op));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(*decoded, op);
+  op.entries = {{"a", "1"}, {"b", std::string("\x00", 1)}, {"c", ""}};
+  return op;
+}
+
+TEST(PageOps, CodecRoundTripInsert) {
+  const PageOp decoded = RoundTrip(AllFieldsSet(PageOpType::kInsert));
+  PageOp want;
+  want.type = PageOpType::kInsert;
+  want.key = "piv";
+  want.value = std::string("\x00\x01", 2);
+  EXPECT_EQ(decoded, want);
+}
+
+TEST(PageOps, CodecRoundTripEraseAndTruncate) {
+  for (PageOpType type : {PageOpType::kErase, PageOpType::kTruncateFrom}) {
+    const PageOp decoded = RoundTrip(AllFieldsSet(type));
+    PageOp want;
+    want.type = type;
+    want.key = "piv";
+    EXPECT_EQ(decoded, want) << static_cast<int>(type);
+  }
+}
+
+TEST(PageOps, CodecRoundTripSetLinks) {
+  const PageOp decoded = RoundTrip(AllFieldsSet(PageOpType::kSetLinks));
+  PageOp want;
+  want.type = PageOpType::kSetLinks;
+  want.next = 42;
+  want.prev = 41;
+  EXPECT_EQ(decoded, want);
+}
+
+TEST(PageOps, CodecRoundTripFormat) {
+  // With links and three entries (a split's new page)...
+  const PageOp decoded = RoundTrip(AllFieldsSet(PageOpType::kFormat));
+  PageOp want;
+  want.type = PageOpType::kFormat;
+  want.page_type = PageType::kInternal;
+  want.level = 3;
+  want.next = 42;
+  want.prev = 41;
+  want.entries = {{"a", "1"}, {"b", std::string("\x00", 1)}, {"c", ""}};
+  EXPECT_EQ(decoded, want);
+  // ...and with neither (a plain empty page).
+  const PageOp bare = RoundTrip(FormatOp(PageType::kUndo));
+  EXPECT_EQ(bare, FormatOp(PageType::kUndo));
+  EXPECT_TRUE(bare.entries.empty());
+  EXPECT_EQ(bare.next, kInvalidBlock);
+  EXPECT_EQ(bare.prev, kInvalidBlock);
+}
+
+TEST(PageOps, FormatWithEntriesAndLinksBuildsThePage) {
+  Page page;
+  ASSERT_TRUE(ApplyPageOp(&page, InsertOp("stale", "x"), 1).ok());
+  ASSERT_TRUE(ApplyPageOp(&page, AllFieldsSet(PageOpType::kFormat), 2).ok());
+  EXPECT_EQ(page.type, PageType::kInternal);
+  EXPECT_EQ(page.level, 3);
+  EXPECT_EQ(page.next, 42u);
+  EXPECT_EQ(page.prev, 41u);
+  ASSERT_EQ(page.entries.size(), 3u);
+  EXPECT_FALSE(page.entries.contains("stale"));
+  EXPECT_EQ(page.entries.at("a"), "1");
+  EXPECT_EQ(page.page_lsn, 2u);
 }
 
 TEST(PageOps, DecodeRejectsGarbage) {
@@ -85,6 +155,18 @@ TEST(PageOps, DecodeRejectsGarbage) {
   std::string bad = EncodePageOp(InsertOp("k", "v"));
   bad.resize(bad.size() - 1);
   EXPECT_TRUE(DecodePageOp(bad).status().IsCorruption());
+  // A format whose entry list is cut short.
+  std::string short_format = EncodePageOp(AllFieldsSet(PageOpType::kFormat));
+  short_format.resize(short_format.size() - 3);
+  EXPECT_TRUE(DecodePageOp(short_format).status().IsCorruption());
+  // A format with an out-of-range page type (byte 1, after the op type).
+  std::string bad_type = EncodePageOp(FormatOp());
+  bad_type[1] = static_cast<char>(static_cast<uint8_t>(PageType::kMeta) + 1);
+  EXPECT_TRUE(DecodePageOp(bad_type).status().IsCorruption());
+  // Trailing bytes after a complete set-links op.
+  std::string trailing = EncodePageOp(AllFieldsSet(PageOpType::kSetLinks));
+  trailing.push_back('\0');
+  EXPECT_TRUE(DecodePageOp(trailing).status().IsCorruption());
 }
 
 TEST(PageOps, ApplySequence) {
