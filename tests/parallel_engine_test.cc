@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -257,7 +258,8 @@ TEST(ParallelEngine, PendingAndExecutedAggregateAllQueues) {
   Simulator sim(5);
   sim.ConfigureShards(2);
   sim.SetLookahead(5);
-  int hits = 0;
+  // Atomic: the two shard events share a time and run on two workers.
+  std::atomic<int> hits = 0;
   for (uint32_t s = 0; s < 2; ++s) {
     Simulator::ShardScope scope(&sim, s);
     sim.Schedule(10, [&hits] { hits++; }, "agg.shard");
