@@ -125,9 +125,9 @@ class BenchJson {
 
   std::string Render() const {
     std::string out = "{\n  \"bench\": \"" + name_ + "\"";
-    // Host thread count rides in every emitted file: scaling numbers
-    // (--threads sweeps) are meaningless without knowing how many cores
-    // the run actually had, and gate baselines are host-specific.
+    // Host thread count rides in every emitted file: gate baselines are
+    // host-specific, and a wall-clock rate says little without knowing
+    // how many cores the run actually had.
     unsigned hw = std::thread::hardware_concurrency();
     if (hw == 0) hw = 1;
     out += ",\n  \"host_threads\": " + std::to_string(hw);

@@ -104,7 +104,7 @@ void ReadReplica::OnCrash() {
   pinned_views_.clear();
   AURORA_GAUGE_SET(M().pinned_views, 0);
   txns_ = txn::TxnManager();
-  StoreVdl(kInvalidLsn);
+  vdl_ = kInvalidLsn;
   stream_source_ = kInvalidNode;
   stream_seq_ = 0;
 }
@@ -163,7 +163,7 @@ void ReadReplica::OnReplicationEvent(const engine::ReplicationEvent& event) {
       break;
     case engine::ReplicationEvent::Type::kVdlUpdate:
       if (event.vdl > vdl_) {
-        StoreVdl(event.vdl);
+        vdl_ = event.vdl;
         DrainAnchorWaiters();
       }
       break;

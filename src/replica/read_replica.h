@@ -19,7 +19,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -88,16 +87,7 @@ class ReadReplica : public sim::NodeLifecycleListener {
               VolumeEpoch volume_epoch, ReplicaOptions options = {});
 
   NodeId id() const { return id_; }
-  /// vdl_ is written only on this replica's event shard, but session
-  /// routing on other shards peeks it (ClientSession::PickReplica checks
-  /// "has this replica ever applied a VDL"), so the accessor/writer pair
-  /// goes through relaxed atomics. The peeked fact is one-way monotonic
-  /// per replica incarnation, so a stale read only skips a replica that
-  /// just became ready — never the reverse.
-  Lsn vdl() const {
-    return std::atomic_ref<Lsn>(const_cast<Lsn&>(vdl_))
-        .load(std::memory_order_relaxed);
-  }
+  Lsn vdl() const { return vdl_; }
 
   /// Entry point for the writer's replication stream (delivered over the
   /// simulated network by the cluster wiring).
@@ -170,11 +160,6 @@ class ReadReplica : public sim::NodeLifecycleListener {
   Histogram& replica_lag() { return replica_lag_; }
 
  private:
-  /// All vdl_ writes go through here (see vdl() above); same-shard reads
-  /// may still touch the plain member — they are sequenced with the store.
-  void StoreVdl(Lsn vdl) {
-    std::atomic_ref<Lsn>(vdl_).store(vdl, std::memory_order_relaxed);
-  }
   void WithPage(BlockId block,
                 std::function<void(Result<storage::Page*>)> cb);
   storage::Page* CachedPage(BlockId block);
